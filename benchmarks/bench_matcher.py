@@ -10,19 +10,16 @@ allocation that keeps the window at capacity and the matchList churning.
 No partition state exists, so a regression here is a matcher regression,
 full stop.
 
-Both execution paths run every invocation: the per-edge scalar loop
-(:meth:`StreamMatcher.offer`) and the columnar batch path
-(:meth:`StreamMatcher.offer_batch`, the default in Loom).  Their core
-counters are asserted equal — the benchmark doubles as an equivalence
-smoke test — and each path reports per-repeat min/median so the spread is
-visible next to the headline (best-of-N hides run-to-run variance).
+Every event goes through :meth:`StreamMatcher.offer`, the one entry point
+Loom's ingest uses.  The run reports per-repeat min/median so the spread
+is visible next to the headline (best-of-N hides run-to-run variance).
 
 Run from the repository root::
 
     python benchmarks/bench_matcher.py             # writes BENCH_matcher.json
     python benchmarks/bench_matcher.py --edges 4000 --window 500 --repeats 2
 
-``gain_vs_baseline`` compares the columnar headline against the previously
+``gain_vs_baseline`` compares the headline against the previously
 committed ``BENCH_matcher.json`` (same caveats as bench_throughput: it is
 a cross-run ratio and absorbs machine drift).  CI runs a reduced-scale
 pass so matcher regressions fail visibly.
@@ -48,12 +45,11 @@ from repro.experiment.registry import namespace_from_parser, trial
 from repro.core.matching import StreamMatcher
 from repro.core.motifs import MotifIndex
 from repro.core.tpstry import TPSTry
-from repro.graph.stream import batched, synthetic_stream
+from repro.graph.stream import synthetic_stream
 
 DEFAULT_EDGES = 20_000
 DEFAULT_VERTICES = 4_000
 DEFAULT_WINDOW = 2_000
-DEFAULT_BATCH_SIZE = 2_048
 
 
 def _evict_cluster(matcher: StreamMatcher) -> None:
@@ -69,7 +65,7 @@ def _drain(matcher: StreamMatcher) -> None:
         _evict_cluster(matcher)
 
 
-def drive_scalar(matcher: StreamMatcher, events, batch_size: int) -> None:
+def drive(matcher: StreamMatcher, events) -> None:
     """Offer every event; on overflow, evict the oldest edge's own cluster."""
     offer = matcher.offer
     needs_eviction = matcher.needs_eviction
@@ -80,52 +76,19 @@ def drive_scalar(matcher: StreamMatcher, events, batch_size: int) -> None:
     _drain(matcher)
 
 
-def drive_columnar(matcher: StreamMatcher, events, batch_size: int) -> None:
-    """The batch twin: one gate pass per chunk, same eviction policy."""
-    offer_batch = matcher.offer_batch
-    overflow = lambda: _evict_cluster(matcher)  # noqa: E731
-    for chunk in batched(events, batch_size):
-        offer_batch(chunk, on_overflow=overflow)
-    _drain(matcher)
-
-
-DRIVERS = {"scalar": drive_scalar, "columnar": drive_columnar}
-
-
-def timed_run(index: MotifIndex, window: int, events, driver, batch_size: int):
+def timed_run(index: MotifIndex, window: int, events):
     matcher = StreamMatcher(index, window)
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         start = time.perf_counter()
-        driver(matcher, events, batch_size)
+        drive(matcher, events)
         elapsed = time.perf_counter() - start
     finally:
         if gc_was_enabled:
             gc.enable()
         gc.collect()
     return elapsed, matcher
-
-
-def run_path(name, index, args, events):
-    """All repeats of one execution path: per-repeat seconds + the last
-    matcher (for stats; every repeat's stats are identical by determinism)."""
-    driver = DRIVERS[name]
-    seconds = []
-    matcher = None
-    for _ in range(max(1, args.repeats)):
-        elapsed, matcher = timed_run(index, args.window, events, driver, args.batch_size)
-        seconds.append(elapsed)
-    best = min(seconds)
-    median = statistics.median(seconds)
-    return {
-        "seconds": round(best, 4),
-        "median_seconds": round(median, 4),
-        "edges_per_sec": round(args.edges / best, 1),
-        "median_edges_per_sec": round(args.edges / median, 1),
-        "spread_pct": round(100.0 * (median - best) / best, 2) if best else 0.0,
-        "repeat_seconds": [round(s, 4) for s in seconds],
-    }, matcher
 
 
 def comparable(baseline, args) -> bool:
@@ -150,10 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--vertices", type=int, default=DEFAULT_VERTICES)
     parser.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE,
-                        help="events per columnar gate chunk")
     parser.add_argument("--repeats", type=int, default=3,
-                        help="timings per path (headline is best-of-N; the "
+                        help="timed runs (headline is best-of-N; the "
                         "median and spread are reported alongside)")
     parser.add_argument("--out", default=str(Path(__file__).resolve().parent.parent / "BENCH_matcher.json"))
     parser.add_argument("--baseline", default=None,
@@ -162,37 +123,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args, baseline=None) -> dict:
-    """Time both execution paths over one stream; the results tree.
-
-    Raises :class:`AssertionError` when the scalar and columnar core
-    counters diverge — batch/scalar equivalence is a hard invariant of
-    this benchmark, whichever entry point (script or trial) drove it.
-    """
+    """Time the matcher over one stream; the results tree."""
     events = list(synthetic_stream(args.vertices, args.edges, seed=args.seed))
     index = MotifIndex(TPSTry.from_workload(bench_workload()), 0.4)
 
-    paths = {}
-    matchers = {}
-    for name in ("scalar", "columnar"):
-        paths[name], matchers[name] = run_path(name, index, args, events)
-
-    scalar_core = matchers["scalar"].stats.core_counters()
-    columnar_core = matchers["columnar"].stats.core_counters()
-    if scalar_core != columnar_core:
-        raise AssertionError(
-            "scalar/columnar core counters diverged: "
-            f"scalar={scalar_core} columnar={columnar_core}"
-        )
-
-    # The columnar path is the production default (Loom's ingest), so it is
-    # the headline and the number the regression gate tracks.
-    headline = paths["columnar"]
-    eps = headline["edges_per_sec"]
+    seconds = []
+    matcher = None
+    for _ in range(max(1, args.repeats)):
+        elapsed, matcher = timed_run(index, args.window, events)
+        seconds.append(elapsed)
+    best = min(seconds)
+    median = statistics.median(seconds)
+    eps = round(args.edges / best, 1)
     results = {
-        "seconds": headline["seconds"],
+        "seconds": round(best, 4),
+        "median_seconds": round(median, 4),
         "edges_per_sec": eps,
-        "paths": paths,
-        "matcher_stats": matchers["columnar"].stats.as_dict(),
+        "median_edges_per_sec": round(args.edges / median, 1),
+        "spread_pct": round(100.0 * (median - best) / best, 2) if best else 0.0,
+        "repeat_seconds": [round(s, 4) for s in seconds],
+        # Every repeat's stats are identical by determinism.
+        "matcher_stats": matcher.stats.as_dict(),
     }
     note = ""
     if comparable(baseline, args):
@@ -201,13 +152,11 @@ def run(args, baseline=None) -> dict:
             results["baseline_edges_per_sec"] = base_eps
             results["gain_vs_baseline"] = round(eps / base_eps, 3)
             note = f", {eps / base_eps:.2f}x vs committed baseline"
-    for name in ("scalar", "columnar"):
-        p = paths[name]
-        print(
-            f"{name:>8}: {p['edges_per_sec']:>12,.0f} edges/s best "
-            f"(median {p['median_edges_per_sec']:,.0f}, spread {p['spread_pct']:.1f}%)"
-        )
-    print(f"matcher: {eps:>12,.0f} edges/s ({args.edges:,} edges{note})")
+    print(
+        f"matcher: {eps:>12,.0f} edges/s best "
+        f"(median {results['median_edges_per_sec']:,.0f}, "
+        f"spread {results['spread_pct']:.1f}%; {args.edges:,} edges{note})"
+    )
     return results
 
 
@@ -221,11 +170,7 @@ def matcher_trial(ctx):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     baseline = load_baseline(args.baseline if args.baseline is not None else args.out)
-    try:
-        results = run(args, baseline)
-    except AssertionError as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
-        return 1
+    results = run(args, baseline)
 
     payload = {
         "benchmark": "matcher-only offer/extend/evict loop (no placement)",
@@ -235,7 +180,6 @@ def main(argv=None) -> int:
             "window": args.window,
             "seed": args.seed,
             "repeats": args.repeats,
-            "batch_size": args.batch_size,
         },
         "python": platform.python_version(),
         "results": results,

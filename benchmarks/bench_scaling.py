@@ -11,8 +11,8 @@ ratios are recorded per (system, shard count):
   curve.
 * ``gain_vs_baseline`` — aggregate rate vs the committed
   ``BENCH_scaling.json`` (cross-run; read it the way
-  ``bench_throughput.py`` documents).  ``check_regression.py`` gates on it
-  in CI.
+  ``bench_throughput.py`` documents).  ``python -m repro.experiment gate``
+  gates on it in CI.
 
 Where scaling comes from: on a many-core machine, from the worker
 processes running concurrently.  On a *single* core — like the container

@@ -15,7 +15,8 @@ reports per system:
   round-trip that turns saved hops into saved time,
 * ``hops_vs_hash`` — hops/query relative to the Hash baseline,
 * ``gain_vs_baseline`` — queries/s vs the committed ``BENCH_serving.json``
-  (cross-run, config-guarded; ``check_regression.py`` gates on it in CI).
+  (cross-run, config-guarded; ``python -m repro.experiment gate`` gates
+  on it in CI).
 
 Each (system, repeat) runs a fresh engine and cold cache; hops must be
 bit-identical across repeats (served results are deterministic — only

@@ -84,7 +84,7 @@ FP_ACCUM_MODULES: Tuple[str, ...] = (
     "src/repro/partitioning/*",
 )
 
-#: Columnar-adjacent code: every numpy constructor names an explicit dtype
+#: Int-id layers: every numpy constructor names an explicit dtype
 #: (numpy's default integer dtype is C `long` — 32-bit on Windows — which
 #: silently truncates packed 64-bit edge keys).
 NP_DTYPE_MODULES: Tuple[str, ...] = (

@@ -3,18 +3,19 @@
 numpy's default integer dtype is C ``long``: 64-bit on Linux/macOS,
 **32-bit on Windows**.  ``np.array(packed_edge_keys)`` therefore works on
 the machines CI runs and silently truncates 64-bit packed edge keys
-(``pack_edge`` uses the full word) on a Windows checkout — the trap the
-PR 6 columnar mirrors were audited for.  On columnar-adjacent modules the
-rule requires an explicit ``dtype=`` (or the positional dtype slot) on
-every array constructor:
+(``pack_edge`` uses the full word) on a Windows checkout.  No module in
+``src/`` imports numpy today; the rule stays so any numpy that comes
+back into the int-id layers starts out correct.  On those modules it
+requires an explicit ``dtype=`` (or the positional dtype slot) on every
+array constructor:
 
 ``np.array`` / ``asarray`` / ``asanyarray`` / ``ascontiguousarray`` /
 ``empty`` / ``zeros`` / ``ones`` / ``full`` / ``arange`` / ``fromiter`` /
 ``frombuffer`` / ``fromstring``.
 
 ``*_like`` constructors inherit their prototype's dtype and are exempt.
-The codebase convention is ``dtype=np.int64`` end to end (see
-``core/columnar.py``'s ``_INT64``).
+The convention is ``dtype=np.int64`` end to end, matching the packed
+64-bit ids.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ _CONSTRUCTORS: Dict[str, Optional[int]] = {
 @register_rule
 class NpDtype(Rule):
     rule_id = "NP-dtype"
-    title = "numpy constructors in columnar-adjacent code must name an explicit dtype"
-    hint = "pass dtype=np.int64 (the repo-wide columnar convention; default int is 32-bit on Windows)"
+    title = "numpy constructors in int-id code must name an explicit dtype"
+    hint = "pass dtype=np.int64 (packed ids are 64-bit; numpy's default int is 32-bit on Windows)"
 
     def run(self):
         self._np_aliases = module_aliases(self.ctx.tree, "numpy")

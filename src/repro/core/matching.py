@@ -31,28 +31,19 @@ and the window's id → label map, motifs are dense plan state ids carried in
 against tables the plan pre-computed from the TPSTry++.  Per-state facts
 (support, extensibility) are flat array reads.
 
-Since the columnar lowering, the matchList itself runs on **dense match
-ids**: every registered match gets a small integer handle into an arena
-(:class:`MatchList`), the per-vertex and per-edge indexes hold *sets of
-ints* rather than sets of :class:`Match` objects, and duplicate detection
-is one dict probe keyed by the match's canonical ``(edges, state)`` pair.
-That keeps Python-level ``__hash__``/``__eq__`` dispatch — which dominated
-the object-keyed matchList — entirely off the per-edge path: every hot
+The matchList itself runs on **dense match ids**: every registered match
+gets a small integer handle into an arena (:class:`MatchList`), the
+per-vertex and per-edge indexes hold *sets of ints* rather than sets of
+:class:`Match` objects, and duplicate detection is one dict probe keyed
+by the match's canonical ``(edges, state)`` pair.  That keeps
+Python-level ``__hash__``/``__eq__`` dispatch — which dominated the
+object-keyed matchList — entirely off the per-edge path: every hot
 container operation hashes machine ints or flat int tuples in C.  A match's
 edge set is a **sorted tuple** of packed keys (canonical, so the sort key
 needs no per-use sorting), and every ordering — match sort keys,
 ``_grow``'s edge order — is a plain integer comparison; ``repr()``-string
 orderings are banned on this path (they were both slow and, for
 address-based default reprs, a cross-run determinism bug).
-
-Batch arrival goes through :meth:`StreamMatcher.offer_batch` /
-:meth:`StreamMatcher.gate_batch`: the single-edge gate for a whole batch is
-answered columnar (one numpy classification over per-edge root-state
-columns; see :mod:`repro.core.columnar`), bypassed edges never reach the
-per-edge machinery, and only edges whose root probe actually hits fall back
-to the scalar extension/join path — which is shared verbatim with
-:meth:`offer`, so batch and scalar runs are bit-identical
-(``tests/test_columnar.py`` pins it).
 
 Vertex objects are translated back only at the public boundary
 (:meth:`StreamMatcher.resolve_vertices` / :meth:`StreamMatcher.resolve_edges`);
@@ -67,12 +58,10 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from typing import (
-    Callable,
     Dict,
     Iterable,
     List,
     Optional,
-    Sequence,
     Set,
     Tuple,
     Union,
@@ -309,15 +298,6 @@ class MatcherStats:
     lookups (extension + pair-join growth), ``leaf_gate_skips`` counts
     matches whose non-extensible (leaf-motif) state let the matcher skip
     the factor arithmetic entirely.
-
-    The last three are **batch counters**, non-zero only on the columnar
-    path: ``batches_offered`` counts :meth:`StreamMatcher.offer_batch` /
-    :meth:`StreamMatcher.gate_batch` invocations, ``vector_bypassed``
-    counts edges the columnar gate classified out without touching the
-    per-edge machinery, and ``scalar_fallbacks`` counts edges whose root
-    probe hit and therefore took the scalar extension/join path.  Batch
-    and scalar runs of the same stream agree on every *other* counter
-    bit for bit (``MatcherStats.core_counters`` is the comparison key).
     """
 
     plan_states: int = 0
@@ -331,23 +311,9 @@ class MatcherStats:
     root_hits: int = 0
     extension_probes: int = 0
     leaf_gate_skips: int = 0
-    batches_offered: int = 0
-    vector_bypassed: int = 0
-    scalar_fallbacks: int = 0
-
-    BATCH_COUNTERS = ("batches_offered", "vector_bypassed", "scalar_fallbacks")
 
     def as_dict(self) -> Dict[str, int]:
         return asdict(self)
-
-    def core_counters(self) -> Dict[str, int]:
-        """Everything except the batch counters — identical between a
-        scalar and a columnar run of the same stream (the equivalence
-        suites compare this)."""
-        d = asdict(self)
-        for name in self.BATCH_COUNTERS:
-            del d[name]
-        return d
 
 
 class StreamMatcher:
@@ -393,7 +359,6 @@ class StreamMatcher:
         # Plan tables, bound once: these probes run per candidate edge at
         # streaming rates (in-package inner-loop binding, ARCHITECTURE.md).
         self._root_entry = plan.root_entry
-        self._root_memo = plan._root_memo
         self._support = plan.support
         self._extensible = plan.extensible
         self._successor_rows = plan.successor_rows
@@ -440,120 +405,12 @@ class StreamMatcher:
         self._absorb(event, uid, vid, root, lu, lv)
         return True
 
-    def gate_batch(
-        self, events: Sequence[EdgeEvent]
-    ) -> Tuple[List[int], List[int], List[int]]:
-        """The single-edge gate for a whole batch: per-edge columns
-        ``(roots, lus, lvs)``, where ``roots[i] < 0`` means event ``i``
-        can never join a motif match (the Sec. 3 bypass).
-
-        Pure — no matcher state changes beyond the plan's memo tables, so
-        callers are free to interleave the classification with their own
-        per-edge work (Loom places bypassed edges between window
-        evictions).  One shared-memo probe per event; unmemoised label
-        pairs take the plan's slow path exactly as :meth:`offer` would.
-        Counts one batch in ``stats.batches_offered``.
-        """
-        self.stats.batches_offered += 1
-        memo = self._root_memo
-        slow = self._root_entry
-        roots: List[int] = []
-        lus: List[int] = []
-        lvs: List[int] = []
-        append_root = roots.append
-        append_lu = lus.append
-        append_lv = lvs.append
-        for event in events:
-            got = memo.get((event.u_label, event.v_label))
-            if got is None:
-                got = slow(event.u_label, event.v_label)
-            append_root(got[0])
-            append_lu(got[1])
-            append_lv(got[2])
-        return roots, lus, lvs
-
-    def offer_batch(
-        self,
-        events: Sequence[EdgeEvent],
-        on_overflow: Optional[Callable[[], None]] = None,
-    ) -> int:
-        """Columnar twin of calling :meth:`offer` on each event in order.
-
-        The single-edge gate runs once for the whole batch
-        (:meth:`gate_batch` + a numpy classification over the root column;
-        see :mod:`repro.core.columnar`); bypassed edges never reach the
-        per-edge machinery and are tallied columnar.  Edges whose root
-        probe hits fall back to the scalar extension/join path — the same
-        code :meth:`offer` runs — in stream order, so placements, window
-        contents and every core counter are bit-identical to the scalar
-        run (``stats.core_counters``; the batch counters record the
-        classification).  Returns the number of edges that entered the
-        window.
-
-        ``on_overflow`` is invoked after each windowed edge while
-        :meth:`needs_eviction` holds, exactly where a scalar driver would
-        run its eviction loop; without one the window is left overflowing
-        (the standalone-matcher behaviour of repeated :meth:`offer` calls).
-        A :class:`~repro.core.window.LabelConflictError` aborts the batch
-        at the offending edge with the same counted-then-raised semantics
-        as :meth:`offer` (earlier edges of the batch remain absorbed, and
-        the gate counters pre-added for the *unreached* tail of the batch
-        are rolled back, so even the abort leaves ``core_counters`` equal
-        to a scalar run that stopped at the same edge).
-        """
-        from repro.core.columnar import classify_roots
-
-        stats = self.stats
-        n = len(events)
-        if n == 0:
-            stats.batches_offered += 1
-            return 0
-        roots, lus, lvs = self.gate_batch(events)
-        windowed_idx, num_bypassed = classify_roots(roots)
-        stats.edges_offered += n
-        stats.edges_bypassed += num_bypassed
-        stats.vector_bypassed += num_bypassed
-        hits = len(windowed_idx)
-        stats.root_hits += hits
-        stats.scalar_fallbacks += hits
-        if not hits:
-            return 0
-        intern = self.interner.intern
-        absorb = self._absorb
-        window_events = self.window._events
-        capacity = self.window.capacity
-        entered = 0
-        for pos, i in enumerate(windowed_idx):
-            event = events[i]
-            uid = intern(event.u)
-            vid = intern(event.v)
-            try:
-                windowed = absorb(event, uid, vid, roots[i], lus[i], lvs[i])
-            except LabelConflictError:
-                # Un-count the gate verdicts of the edges the scalar path
-                # would never have reached (everything after batch slot i).
-                trailing = n - 1 - i
-                hits_after = hits - pos - 1
-                bypassed_after = trailing - hits_after
-                stats.edges_offered -= trailing
-                stats.root_hits -= hits_after
-                stats.scalar_fallbacks -= hits_after
-                stats.edges_bypassed -= bypassed_after
-                stats.vector_bypassed -= bypassed_after
-                raise
-            if windowed:
-                entered += 1
-            if on_overflow is not None and len(window_events) > capacity:
-                on_overflow()
-        return entered
-
     def _absorb(
         self, event: EdgeEvent, uid: int, vid: int, root: int, lu: int, lv: int
     ) -> bool:
         """The per-edge matching core behind the gate: window the edge,
-        then run extension and pair joins (Alg. 2).  Shared verbatim by
-        :meth:`offer` and the batch path — bit-exactness between the two
-        is structural.  Returns ``False`` for a duplicate edge."""
+        then run extension and pair joins (Alg. 2).  Returns ``False``
+        for a duplicate edge."""
         stats = self.stats
         ekey = pack_edge(uid, vid)
         try:

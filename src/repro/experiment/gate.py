@@ -1,8 +1,7 @@
 """The regression gate over the results DB.
 
-``experiment gate`` is the DB-reading successor of
-``benchmarks/check_regression.py``: for every trial in a spec it finds
-the latest result row and judges it —
+``experiment gate`` reads the results DB: for every trial in a spec it
+finds the latest result row and judges it —
 
 * a **failed** trial fails the gate (the traceback is echoed),
 * a trial with **no row at all** fails the gate (the spec was not run),

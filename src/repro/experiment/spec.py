@@ -49,7 +49,7 @@ _EXPERIMENT_KEYS = frozenset({"name", "description", "seed", "trial_modules", "w
 _GATE_KEYS = frozenset({"enabled", "threshold", "strict"})
 
 DEFAULT_THRESHOLD = 0.85
-"""Fail on a >15% slowdown, matching ``check_regression.py``'s default."""
+"""Fail on a >15% slowdown (a gain below 0.85 of the baseline)."""
 
 
 class SpecError(ValueError):

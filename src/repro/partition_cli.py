@@ -70,14 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-size",
         type=int,
         default=DEFAULT_BATCH_SIZE,
-        help="events per batch: the columnar gate chunk on a single-process "
-        "Loom run, the runtime queue message size on sharded runs",
-    )
-    parser.add_argument(
-        "--no-columnar",
-        action="store_true",
-        help="run Loom's per-edge scalar ingest loop instead of the columnar "
-        "(numpy) batch gate; placements are bit-identical either way",
+        help="events per runtime queue message on sharded runs (--shards > 1)",
     )
     parser.add_argument(
         "--merge-rule",
@@ -146,8 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--obs",
         action="store_true",
         help="enable the repro.obs metrics registry for this run and print "
-        "its snapshot to stderr (counters, gauges, latency histograms, "
-        "windowed rollups); placements are bit-identical with or without it",
+        "its snapshot to stderr (counters, gauges, windowed rollups); "
+        "placements are bit-identical with or without it",
     )
     parser.add_argument(
         "--trace-out",
@@ -177,6 +170,15 @@ def main(argv: Optional[list] = None) -> int:
     if workload is not None:
         print(f"workload: {workload}", file=sys.stderr)
 
+    if args.k < 1:
+        print("error: --k must be at least 1", file=sys.stderr)
+        return 2
+    if args.window is not None and args.window < 1:
+        print("error: --window must be at least 1", file=sys.stderr)
+        return 2
+    if not args.imbalance >= 1.0:
+        print("error: --imbalance must be at least 1.0", file=sys.stderr)
+        return 2
     if args.shards < 1:
         print("error: --shards must be at least 1", file=sys.stderr)
         return 2
@@ -185,20 +187,12 @@ def main(argv: Optional[list] = None) -> int:
         return 2
 
     window = args.window if args.window is not None else scaled_window(graph)
-    loom_kwargs = (
-        {"support_threshold": args.threshold, "columnar": not args.no_columnar}
-        if args.system == "loom"
-        else {}
-    )
+    loom_kwargs = {"support_threshold": args.threshold} if args.system == "loom" else {}
     events = stream_edges(graph, args.order, seed=args.seed)
 
     if args.shards == 1:
         # The established single-process path (also what a sharded run with
         # one worker reproduces bit for bit — tests/test_runtime.py).
-        # --batch-size sizes the columnar gate chunks here; on sharded runs
-        # it sizes the queue messages instead (the workers chunk internally).
-        if args.system == "loom":
-            loom_kwargs["batch_size"] = args.batch_size
         state = PartitionState.for_graph(args.k, graph.num_vertices, args.imbalance)
         partitioner = registry.create(
             args.system,

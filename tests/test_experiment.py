@@ -5,8 +5,8 @@ resume-skips-completed-trials, failed-trial isolation (a crashing trial
 records a failed row and the run continues), the append-only SQLite
 round-trip, and a reduced-scale run of real bench trials in parallel
 workers.  The gate tests replay the committed ``BENCH_*.json`` payloads
-through the DB and assert ``experiment gate`` reproduces today's four
-``check_regression.py`` verdicts — and fails on an injected slowdown.
+through the DB and assert ``experiment gate`` passes them at the
+thresholds CI uses — and fails on an injected slowdown.
 """
 
 import json
@@ -262,7 +262,7 @@ class TestRunner:
         assert summary.ok
 
 
-#: (committed payload, today's check_regression threshold / strictness).
+#: (committed payload, the gate threshold / strictness CI uses for it).
 COMMITTED_GATES = [
     ("BENCH_throughput.json", {"threshold": 0.85, "strict": True}),
     ("BENCH_matcher.json", {"threshold": 0.85, "strict": True}),
@@ -305,8 +305,8 @@ def replay_committed_payloads(db_path, scale_gain=None):
 
 class TestGateOnCommittedBaselines:
     def test_reproduces_check_regression_verdicts(self, tmp_path):
-        """Acceptance case: the committed payloads pass all four of
-        today's check_regression invocations, so the DB gate passes too."""
+        """Acceptance case: the committed payloads pass the DB gate at
+        each payload's CI threshold and strictness."""
         db_path = str(tmp_path / "r.db")
         spec = replay_committed_payloads(db_path)
         with ResultsDB(db_path) as db:

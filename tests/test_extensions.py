@@ -233,3 +233,18 @@ class TestPartitionCli:
 
         _dataset, graph_path, _wl, _tmp = files
         assert main([str(graph_path), "--system", "loom"]) == 2
+
+    @pytest.mark.parametrize(
+        "flag, value, floor",
+        [("--k", "0", "1"), ("--window", "0", "1"), ("--imbalance", "0.1", "1.0")],
+    )
+    def test_bad_numbers_fail_with_one_line_error(self, files, capsys, flag, value, floor):
+        from repro.partition_cli import main
+
+        _dataset, graph_path, workload_path, _tmp = files
+        argv = [str(graph_path), "--workload", str(workload_path), flag, value]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: {flag} must be at least {floor}"]
+        assert "Traceback" not in err

@@ -118,6 +118,22 @@ class TestFullStream:
             assignments.append(state.assignment())
         assert assignments[0] == assignments[1]
 
+    def test_per_event_ingest_matches_ingest_all(self, fig5_workload):
+        """The batch loop is :meth:`ingest` with hot locals bound once:
+        same placements and the same matcher counters."""
+        graph = make_random_labelled_graph(50, 120, seed=11)
+        events = list(stream_edges(graph, "bfs", seed=2))
+        state_a = PartitionState.for_graph(4, 50)
+        loom_a = LoomPartitioner(state_a, fig5_workload, window_size=25, seed=0)
+        for event in events:
+            loom_a.ingest(event)
+        loom_a.finalize()
+        state_b = PartitionState.for_graph(4, 50)
+        loom_b = LoomPartitioner(state_b, fig5_workload, window_size=25, seed=0)
+        loom_b.ingest_all(events)
+        assert state_a.assignment() == state_b.assignment()
+        assert loom_a.matcher.stats.as_dict() == loom_b.matcher.stats.as_dict()
+
     def test_ablation_flags_accepted(self, fig1_workload):
         g = make_random_labelled_graph(num_vertices=40, num_edges=80, seed=9)
         for kwargs in (

@@ -196,6 +196,15 @@ class TestPlanStructure:
         assert plan2.labels is plan1.labels
         assert plan2.root_entry("a", "b") == plan1.root_entry("a", "b")
 
+    def test_successor_rows_mirror_plan_dense_rows(self, fig5_workload):
+        """plan.successor_rows (the dense list the matcher indexes) and the
+        canonical dict must agree key for key."""
+        plan = MotifIndex(TPSTry.from_workload(fig5_workload), 0.4).compile()
+        for key, kept in plan._successors.items():
+            assert plan.successor_rows[key] == kept
+        hits = sum(1 for row in plan.successor_rows if row is not None)
+        assert hits == len(plan._successors)
+
     def test_root_memo_caches_misses(self, fig1_index):
         plan = fig1_index.compile()
         assert plan.root_entry("x", "y")[0] == NO_STATE
