@@ -89,11 +89,11 @@ def main() -> None:
         serve_everything()
         print(
             f"  batch {i}: +{visible} visible edges, "
-            f"pending {engine.stores.num_pending}, cache {engine.cache.stats()}"
+            f"pending {engine.index.num_pending}, cache {engine.cache.stats()}"
         )
     engine.finalize()
     serve_everything()
-    print(f"  finalize: pending {engine.stores.num_pending}, cache {engine.cache.stats()}")
+    print(f"  finalize: pending {engine.index.num_pending}, cache {engine.cache.stats()}")
 
 
 if __name__ == "__main__":

@@ -39,7 +39,12 @@ def write_graph(graph: LabelledGraph, path: PathLike) -> None:
 
 
 def read_graph(path: PathLike, name: str = "") -> LabelledGraph:
-    """Read a graph previously written by :func:`write_graph`."""
+    """Read a graph previously written by :func:`write_graph`.
+
+    Any bad record — unknown syntax, a self-loop, an edge to a vertex with
+    no ``v`` line above it, a relabelled vertex — raises ``ValueError``
+    naming ``path:line``.
+    """
     g = LabelledGraph(name or Path(path).stem)
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
@@ -48,12 +53,15 @@ def read_graph(path: PathLike, name: str = "") -> LabelledGraph:
                 continue
             parts = line.split()
             kind = parts[0]
-            if kind == "v" and len(parts) == 3:
-                g.add_vertex(_parse_vertex(parts[1]), parts[2])
-            elif kind == "e" and len(parts) == 3:
-                g.add_edge(_parse_vertex(parts[1]), _parse_vertex(parts[2]))
-            else:
-                raise ValueError(f"{path}:{lineno}: unrecognised record {line!r}")
+            try:
+                if kind == "v" and len(parts) == 3:
+                    g.add_vertex(_parse_vertex(parts[1]), parts[2])
+                elif kind == "e" and len(parts) == 3:
+                    g.add_edge(_parse_vertex(parts[1]), _parse_vertex(parts[2]))
+                else:
+                    raise ValueError(f"unrecognised record {line!r}")
+            except (KeyError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc.args[0]}") from None
     return g
 
 

@@ -164,8 +164,15 @@ def main(argv: Optional[list] = None) -> int:
         print("error: --serve requires --workload", file=sys.stderr)
         return 2
 
-    graph = read_graph(args.graph)
-    workload = read_workload(args.workload) if args.workload else None
+    try:
+        graph = read_graph(args.graph)
+        workload = read_workload(args.workload) if args.workload else None
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if graph.num_vertices == 0:
+        print(f"error: {args.graph} has no vertices", file=sys.stderr)
+        return 2
     print(f"graph: {graph}", file=sys.stderr)
     if workload is not None:
         print(f"workload: {workload}", file=sys.stderr)
@@ -185,6 +192,15 @@ def main(argv: Optional[list] = None) -> int:
     if args.batch_size < 1:
         print("error: --batch-size must be at least 1", file=sys.stderr)
         return 2
+    for flag, value in (
+        ("--serve", args.serve),
+        ("--serve-shards", args.serve_shards),
+        ("--zipf", args.zipf),
+        ("--hop-cost-us", args.hop_cost_us),
+    ):
+        if not value >= 0:
+            print(f"error: {flag} must be at least 0", file=sys.stderr)
+            return 2
 
     window = args.window if args.window is not None else scaled_window(graph)
     loom_kwargs = {"support_threshold": args.threshold} if args.system == "loom" else {}
@@ -321,7 +337,7 @@ def main(argv: Optional[list] = None) -> int:
                 f"serve.partitions_contacted: {serve_report.total_partitions_contacted}",
                 file=sys.stderr,
             )
-            print(f"serve.border_edges: {engine.stores.num_border_edges}", file=sys.stderr)
+            print(f"serve.border_edges: {engine.index.num_border_edges}", file=sys.stderr)
             if engine.cache is not None:
                 print_stats(engine.cache.stats(), prefix="serve.cache")
 

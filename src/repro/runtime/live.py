@@ -1,20 +1,21 @@
-"""The live cluster driver: N shard servers, one authoritative stream.
+"""The live cluster: the serving front end over N shard-server processes.
 
-:class:`LiveCluster` is the ingest-and-serve composition of the two
-scaling layers: the PR 4 runtime's process topology (bounded queues,
-liveness-checked backpressure, failure envelopes) carrying the PR 5
-serving engine's execution, sharded.  One driver process owns the
-*decisions* — the single streaming partitioner, the
-:class:`~repro.graph.labelled_graph.LabelledGraph`, plan compilation and
-query routing over an adjacency-free
-:class:`~repro.serving.stores.RoutingIndex` — while ``num_shards``
-long-lived :mod:`repro.runtime.server` processes own the *data*: each
-holds the :class:`~repro.serving.stores.ShardStores` (and the
+:class:`LiveCluster` is the multi-process deployment of the one serving
+design (:mod:`repro.serving.engine`).  The driver process runs the shared
+:class:`~repro.serving.engine.ServingFrontEnd` — the single streaming
+partitioner, the :class:`~repro.graph.labelled_graph.LabelledGraph`, the
+:class:`~repro.serving.stores.RoutingIndex`, plan compilation and routing
+— while ``num_shards`` long-lived :mod:`repro.runtime.server` processes
+own the *data*: each holds the
+:class:`~repro.serving.stores.ShardStores` (and the
 :class:`~repro.serving.cache.ResultCache` slice) of the partitions with
-``p % num_shards == shard_id``.
+``p % num_shards == shard_id``.  The in-process
+:class:`~repro.serving.engine.ServingEngine` is the same design with one
+shard and no wire.
 
-Ingest is a **barriered round**: the driver partitions a batch, derives
-the visible edge delta, and sends every server an
+Ingest is a **barriered round**: the front end partitions a batch and
+admits the visible edge delta; this driver then sends every server its
+share of the round's vertex and edge rows as an
 :class:`~repro.runtime.messages.EdgeUpdate` (possibly empty — the
 sequence number advances uniformly, which is what the cache-epoch rule
 compares).  Acks return cache-invalidation *forwards* — ghost vertices a
@@ -29,15 +30,15 @@ becomes a :class:`~repro.runtime.messages.StepRequest` to the shard that
 owns the next expansion — the cross-partition hop as an actual message —
 and the driver splices resolved subtrees back in DFS order, so the final
 :class:`~repro.serving.engine.RootResult` is bit-identical to the
-single-process engine's.  Up to ``inflight`` roots are outstanding at
-once (the closed-loop traffic mode); results assembled from multiple
-shards are written back to the root owner's cache with an epoch guard.
+in-process engine's.  Up to ``inflight`` roots are outstanding at once
+(the closed-loop traffic mode); results assembled from multiple shards
+are written back to the root owner's cache with an epoch guard.
 
 Determinism contract (tested in ``tests/test_live_serving.py`` and the
 determinism suites): on a quiesced stream every answer, hop count and
-cache statistic is bit-identical to the single-process engine for any
-shard count; under interleaved ingest/serve the lock-step pattern (ingest
-round barrier, then a serve burst) keeps the same guarantee because every
+cache statistic is bit-identical to the in-process engine for any shard
+count; under interleaved ingest/serve the lock-step pattern (ingest round
+barrier, then a serve burst) keeps the same guarantee because every
 request observes exactly one epoch.
 """
 
@@ -47,12 +48,10 @@ import queue as queue_module
 import multiprocessing as mp
 import time
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro import obs
 from repro.graph.labelled_graph import LabelledGraph
-from repro.graph.stream import EdgeEvent
-from repro.graph.interning import unpack_edge
 from repro.partitioning.base import StreamingPartitioner
 from repro.partitioning.state import UNASSIGNED, PartitionState
 from repro.query.workload import Workload
@@ -73,10 +72,9 @@ from repro.runtime.messages import (
     StepRequest,
 )
 from repro.runtime.server import shard_server_main
-from repro.serving.engine import QueryServeReport, RootResult, ServeReport, _CompiledQuery
+from repro.serving.engine import RootResult, ServingFrontEnd
 from repro.serving.execution import Continuation, LiteralSegment
-from repro.serving.router import Router, create_router
-from repro.serving.stores import RoutingIndex
+from repro.serving.router import Router
 
 DEFAULT_QUEUE_DEPTH = 16
 """Messages a server queue buffers before the driver's put blocks."""
@@ -134,8 +132,8 @@ class _PendingRequest:
         self.result: Optional[RootResult] = None
 
 
-class LiveCluster:
-    """N live shard servers behind one routing/ingest driver.
+class LiveCluster(ServingFrontEnd):
+    """N live shard servers behind the serving front end.
 
     Parameters mirror :class:`~repro.serving.engine.ServingEngine` where
     they overlap (``router``, ``cache``, ``partitioner``); ``num_shards``
@@ -162,24 +160,10 @@ class LiveCluster:
     ) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
-        if partitioner is not None and partitioner.state is not state:
-            raise ValueError("partitioner must share the cluster's PartitionState")
-        self.graph = graph
-        self.state = state
-        self.workload = workload
+        super().__init__(graph, state, workload, router, partitioner)
         self.num_shards = num_shards
-        self.router = create_router(router) if isinstance(router, str) else router
         self.cache_enabled = bool(cache)
-        self.partitioner = partitioner
         self.request_timeout = request_timeout
-
-        self.index = RoutingIndex.from_state(graph, state)
-        self._label_counts: Dict[str, int] = {}
-        for v in graph.vertices():
-            label = graph.label(v)
-            self._label_counts[label] = self._label_counts.get(label, 0) + 1
-        self._queries: Dict[str, _CompiledQuery] = {}
-        self._compile_plans()
 
         self._seq = -1
         self._next_request_id = 0
@@ -192,22 +176,16 @@ class LiveCluster:
         self._inbox: "deque[object]" = deque()
         self.hop_messages_sent = 0
         self.requests_completed = 0
-        #: Cache flag of the most recent :meth:`wait` completion.
-        self.last_cached: Optional[bool] = None
         self._closed = False
 
         # Observability (repro.obs): NULL stubs unless obs.enable() ran
         # before construction.  Hop attribution is per dispatched
-        # StepRequest, keyed (query, root label id, target partition) —
-        # the per-partition transport-hop signal ROADMAP item 3 needs.
-        self._obs_on = obs.enabled()
+        # StepRequest, keyed by its target partition: the transport-hop
+        # signal.
         self._c_requests = obs.counter("live.requests")
         self._c_cache_hits = obs.counter("live.cache_hits")
         self._c_cache_misses = obs.counter("live.cache_misses")
         self._c_hops = obs.counter("live.hop_messages")
-        self._trace = obs.tracer()
-        self._trace_on = self._trace.enabled
-        self._hop_attribution: Dict[Tuple[str, int, int], int] = {}
         obs.register_collector("live.hops", self._hop_metrics)
         #: shard id → latest unsolicited StatsReport (intercepted by the
         #: message loop; never interleaves with serving replies).
@@ -255,37 +233,6 @@ class LiveCluster:
         except BaseException:
             self.close()
             raise
-
-    # ------------------------------------------------------------------
-    # Plan compilation (driver-side twin of the engine's)
-    # ------------------------------------------------------------------
-    def _compile_plans(self) -> Tuple[str, ...]:
-        """(Re)compile every plan; returns the queries whose root slot moved
-        (their shard-side cache entries are dropped via EdgeUpdate)."""
-        dropped: List[str] = []
-        for entry in self.workload:
-            compiled = _CompiledQuery(entry, self.graph, self.index, self._label_counts)
-            previous = self._queries.get(compiled.name)
-            if previous is not None and previous.signature != compiled.signature:
-                dropped.append(compiled.name)
-            self._queries[compiled.name] = compiled
-        return tuple(dropped)
-
-    def query_names(self) -> List[str]:
-        return list(self._queries)
-
-    def root_label_id(self, query_name: str) -> int:
-        return self._plan(query_name).label_ids[0]
-
-    def root_candidates(self, query_name: str) -> List[int]:
-        """All stored root-candidate ids for a query (the traffic surface)."""
-        return self.index.all_candidates(self.root_label_id(query_name))
-
-    def _plan(self, query_name: str) -> _CompiledQuery:
-        plan = self._queries.get(query_name)
-        if plan is None:
-            raise KeyError(f"no query named {query_name!r}; workload has {self.query_names()}")
-        return plan
 
     # ------------------------------------------------------------------
     # Process plumbing
@@ -384,73 +331,34 @@ class LiveCluster:
     def _bootstrap(self) -> None:
         """Ship an already-materialised graph to the servers, in rounds.
 
-        Edge rows go out in sorted-key chunks of :data:`BOOTSTRAP_CHUNK`:
-        shard adjacency is insort-maintained, so the final stores are
-        independent of the delivery order, and chunking bounds the size of
-        any single queue message.
+        Edge rows go out in admission-order chunks of
+        :data:`BOOTSTRAP_CHUNK`: shard adjacency is insort-maintained, so
+        the final stores are independent of the delivery order, and
+        chunking bounds the size of any single queue message.
         """
-        vertex_rows = self.index.take_new_vertices()
-        edge_pairs = [unpack_edge(key) for key in sorted(self.index._edges)]
-        self._send_round(vertex_rows, edge_pairs[:BOOTSTRAP_CHUNK], ())
+        vertex_rows, edge_pairs = self.index.take_delta()
+        self._apply_round(vertex_rows, edge_pairs[:BOOTSTRAP_CHUNK], ())
         for start in range(BOOTSTRAP_CHUNK, len(edge_pairs), BOOTSTRAP_CHUNK):
-            self._send_round([], edge_pairs[start : start + BOOTSTRAP_CHUNK], ())
+            self._apply_round([], edge_pairs[start : start + BOOTSTRAP_CHUNK], ())
 
-    def ingest(self, events: Iterable[EdgeEvent]) -> int:
-        """Stream a batch through the partitioner and out to the shards.
-
-        The driver-side admission logic is the engine's `ingest` verbatim
-        (same partitioner call, same growth bookkeeping, same pending
-        semantics); the delta then ships as one barriered EdgeUpdate round.
-        Returns the number of edges that became visible this round.
-        """
-        if self.partitioner is None:
-            raise ValueError("cluster has no partitioner attached; cannot ingest")
-        batch = list(events)
-        self.partitioner.ingest_batch(batch)
-        label_counts = self._label_counts
-        for event in batch:
-            for v, label in ((event.u, event.u_label), (event.v, event.v_label)):
-                if not self.graph.has_vertex(v):
-                    label_counts[label] = label_counts.get(label, 0) + 1
-            self.graph.add_edge(event.u, event.v, event.u_label, event.v_label)
-        new_edges = []
-        for event in batch:
-            pair = self.index.ingest_edge(event)
-            if pair is not None:
-                new_edges.append(pair)
-        new_edges.extend(self.index.flush_pending())
-        dropped = self._compile_plans() if new_edges else ()
-        self._send_round(self.index.take_new_vertices(), new_edges, dropped)
-        return len(new_edges)
-
-    def finalize(self) -> int:
-        """Drain the partitioner (Loom's window) and flush pending edges."""
-        if self.partitioner is not None:
-            self.partitioner.finalize()
-        new_edges = self.index.flush_pending()
-        dropped = self._compile_plans() if new_edges else ()
-        self._send_round(self.index.take_new_vertices(), new_edges, dropped)
-        return len(new_edges)
-
-    def _send_round(
+    def _apply_round(
         self,
         vertex_rows: List[Tuple[int, int, int]],
         edge_pairs: List[Tuple[int, int]],
         drop_queries: Tuple[str, ...],
     ) -> None:
-        """One barriered EdgeUpdate round + its invalidation waves."""
+        """One barriered EdgeUpdate round + its invalidation waves.
+
+        Every round ships, even an empty one: the sequence number advances
+        uniformly, which is what the cache-epoch rule compares."""
         n = self.num_shards
         self._seq += 1
         per_shard_vertices: List[List[Tuple[int, int, int]]] = [[] for _ in range(n)]
         per_shard_edges: List[List[Tuple[int, int, int, int, int, int]]] = [[] for _ in range(n)]
-        label_of = self.index.label_id_of
-        part_of = self.state.partition_of_id
         for row in vertex_rows:
             per_shard_vertices[shard_of_partition(row[2], n)].append(row)
-        for uid, vid in edge_pairs:
-            up, vp = part_of(uid), part_of(vid)
-            row = (uid, label_of(uid), up, vid, label_of(vid), vp)
-            su, sv = shard_of_partition(up, n), shard_of_partition(vp, n)
+        for row in self.index.edge_rows(edge_pairs):
+            su, sv = shard_of_partition(row[2], n), shard_of_partition(row[5], n)
             per_shard_edges[su].append(row)
             if sv != su:
                 per_shard_edges[sv].append(row)
@@ -516,7 +424,7 @@ class LiveCluster:
         self._next_request_id += 1
         partition = self.state.partition_of_id(root) if root >= 0 else UNASSIGNED
         request = _PendingRequest(request_id, query_name, root, plan)
-        if partition == UNASSIGNED or root not in self.index._label_of:
+        if partition == UNASSIGNED or root not in self.index:
             # Unplaced root: nothing is stored anywhere — answer driver-side.
             request.result = RootResult(query_name, root, (), 0, 0)
             request.root_received = True
@@ -707,56 +615,6 @@ class LiveCluster:
             )
 
     # ------------------------------------------------------------------
-    # Whole-workload execution (the equivalence surface)
-    # ------------------------------------------------------------------
-    def execute_query(self, query_name: str) -> QueryServeReport:
-        """Full enumeration of one query — route, scan roots, serve each.
-
-        Mirrors :meth:`ServingEngine.execute_query`: same router over the
-        same candidate counts, same root order, so hops and embeddings are
-        comparable entry by entry."""
-        plan = self._plan(query_name)
-        partitions = self.router.route(self.index, plan.label_ids[0])
-        embeddings = traversals = hops = border = roots = 0
-        hits = misses = 0
-        num_edges = plan.pattern.num_edges
-        for partition in partitions:
-            for root in self.index.candidates(partition, plan.label_ids[0]):
-                request_id = self.submit(query_name, root)
-                result = self.wait(request_id)
-                cached = self.last_cached
-                if cached is True:
-                    hits += 1
-                elif cached is False:
-                    misses += 1
-                roots += 1
-                embeddings += result.num_embeddings
-                traversals += result.num_embeddings * num_edges
-                hops += result.hops
-                border += result.border_expansions
-        return QueryServeReport(
-            name=plan.name,
-            frequency=plan.frequency,
-            embeddings=embeddings,
-            traversals=traversals,
-            hops=hops,
-            border_expansions=border,
-            partitions_contacted=len(partitions),
-            roots_scanned=roots,
-            cache_hits=hits,
-            cache_misses=misses,
-        )
-
-    def execute_workload(self, system: str = "") -> ServeReport:
-        """Serve every workload query in full — the executor-equivalent pass."""
-        start = time.perf_counter()
-        report = ServeReport(system=system)
-        for name in self._queries:
-            report.queries.append(self.execute_query(name))
-        report.seconds = time.perf_counter() - start
-        return report
-
-    # ------------------------------------------------------------------
     # Stats / shutdown
     # ------------------------------------------------------------------
     def shard_stats(self) -> List[ServerStats]:
@@ -775,19 +633,6 @@ class LiveCluster:
                 stash.append(message)
         self._inbox.extend(stash)
         return [collected[shard] for shard in range(self.num_shards)]
-
-    def _hop_metrics(self) -> Dict[str, int]:
-        """Hop attribution as dotted names (``<query>.l<label>.p<part>``).
-
-        Keys interpolate query names (workload strings) and ints — value
-        forms, not object reprs — and insertion follows sorted key order.
-        """
-        out: Dict[str, int] = {}
-        for key in sorted(self._hop_attribution):
-            query, label_id, partition = key
-            name = f"{query}.l{label_id}.p{partition}"
-            out[name] = self._hop_attribution[key]
-        return out
 
     def stats(self) -> Dict[str, object]:
         """Cluster-wide counters: per-shard snapshots + driver-side truth.

@@ -36,16 +36,18 @@ that needed cross-shard continuations come back from the driver as
 sequence number every contributing step reported, and the server accepts
 only if that is uniform and still current — a result assembled across an
 edge round that might have invalidated it is conservatively discarded.
-Invalidation is the PR 5 radius-``|Eq|`` rule run distributed: the wave
-BFS runs over local member adjacency, and ghosts it settles are forwarded
-(via the driver) to their owning shard, which continues the wave.
+Invalidation is the engine's radius-``|Eq|`` rule
+(:func:`~repro.serving.cache.invalidate_radius`) run distributed: the
+wave BFS runs over local member adjacency, and ghosts it settles are
+forwarded (via the driver) to their owning shard, which continues the
+wave.
 """
 
 from __future__ import annotations
 
 import queue as queue_module
 import traceback
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro import obs
 from repro.obs.format import flatten
@@ -65,8 +67,8 @@ from repro.runtime.messages import (
     StepRequest,
     check_schema,
 )
-from repro.serving.cache import ResultCache
-from repro.serving.engine import RootResult
+from repro.serving.cache import ResultCache, invalidate_radius
+from repro.serving.engine import RootResult, _reject_continuation
 from repro.serving.execution import (
     Continuation,
     ShardView,
@@ -79,10 +81,6 @@ from repro.serving.stores import ShardStores
 #: How long the request-queue poll blocks when idle.  Short, because an
 #: ingest round arriving during a poll waits out the remainder.
 REQUEST_POLL_SECONDS = 0.005
-
-
-def _reject_continuation(continuation):  # pragma: no cover - invariant guard
-    raise RuntimeError(f"local splice hit a continuation: {continuation!r}")
 
 
 class ShardServer:
@@ -123,49 +121,28 @@ class ShardServer:
         """Apply one edge round; returns the ack with invalidation forwards."""
         self.seq = update.seq
         self._round_settled = {}
-        stores = self.stores
-        for vid, label_id, partition in update.vertices:
-            stores.add_vertex(vid, label_id, partition)
-        new_pairs: List[Tuple[int, int]] = []
-        for row in update.edges:
-            pair = stores.apply_edge(*row)
-            if pair is not None:
-                new_pairs.append(pair)
+        endpoints = self.stores.apply_rows(update.vertices, update.edges)
         for name in update.drop_queries:
             self._plan_sigs.pop(name, None)
             if self.cache is not None:
                 self.cache.drop_query(name)
-        forwards: List[Tuple[int, int]] = []
-        if self.cache is not None and new_pairs and self.query_depths:
-            seeds = [(vid, 0) for pair in new_pairs for vid in pair]
-            wave, forwards = stores.bfs_forward(
-                seeds, max(self.query_depths.values()), self._round_settled
-            )
-            self._invalidate(wave)
         self.ingest_rounds += 1
-        rows = tuple((vid, dist, self.stores.partition_of(vid)) for vid, dist in forwards)
-        return IngestAck(self.shard_id, self.seq, len(new_pairs), rows)
+        return self._ack(len(endpoints) // 2, [(vid, 0) for vid in endpoints])
 
     def apply_hops(self, message: InvalidationHops) -> IngestAck:
         """Continue the invalidation wave from another shard's forwards."""
         if message.seq != self.seq:  # pragma: no cover - barrier guarantees
             raise RuntimeError(f"invalidation wave for seq {message.seq} arrived at seq {self.seq}")
-        forwards: List[Tuple[int, int]] = []
-        if self.cache is not None and self.query_depths:
-            wave, forwards = self.stores.bfs_forward(
-                message.seeds, max(self.query_depths.values()), self._round_settled
-            )
-            self._invalidate(wave)
-        rows = tuple((vid, dist, self.stores.partition_of(vid)) for vid, dist in forwards)
-        return IngestAck(self.shard_id, self.seq, 0, rows)
+        return self._ack(0, message.seeds)
 
-    def _invalidate(self, wave: Dict[int, int]) -> None:
-        if self.cache is None or not wave:
-            return
-        for name, depth in self.query_depths.items():
-            roots = sorted(vid for vid, dist in wave.items() if dist <= depth)
-            if roots:
-                self.cache.invalidate_roots(name, roots)
+    def _ack(self, applied: int, seeds) -> IngestAck:
+        """Run this shard's leg of the round's invalidation wave and ack it
+        with the ghosts the wave reached, for their owners to continue."""
+        forwards = invalidate_radius(
+            self.cache, self.stores, seeds, self.query_depths, self._round_settled
+        )
+        rows = tuple((vid, dist, self.stores.partition_of(vid)) for vid, dist in forwards)
+        return IngestAck(self.shard_id, self.seq, applied, rows)
 
     # ------------------------------------------------------------------
     # Request side

@@ -2,15 +2,18 @@
 
 The offline :class:`~repro.query.executor.WorkloadExecutor` scores a
 partitioning after the fact; this package *serves* a query workload
-through the partitions.  Per-partition subgraph stores
-(:mod:`repro.serving.stores`) materialise interned-id adjacency plus a
-border index of cut edges; a pluggable router
-(:mod:`repro.serving.router`) picks the partitions a query starts in;
-the engine (:mod:`repro.serving.engine`) expands embeddings
-partition-locally and charges an explicit **hop** whenever expansion
-follows a border edge — on full enumeration the hop total of a query is
-bit-identical to the executor's ``cut_traversals``.  A ``(query, root)``
-result cache (:mod:`repro.serving.cache`) composes with
+through the partitions.  One design covers every deployment: a front end
+(:class:`~repro.serving.engine.ServingFrontEnd`) admits placed edges into
+a :class:`~repro.serving.stores.RoutingIndex`, compiles plans and routes
+root scans through a pluggable router (:mod:`repro.serving.router`); a
+storage tier of :class:`~repro.serving.stores.ShardStores` holds
+interned-id adjacency and executes (:mod:`repro.serving.execution`),
+charging an explicit **hop** whenever expansion follows a border edge —
+on full enumeration the hop total of a query is bit-identical to the
+executor's ``cut_traversals``.  :class:`ServingEngine` runs one store
+owning every partition in-process;
+:class:`repro.runtime.live.LiveCluster` runs N in server processes.  A
+``(query, root)`` result cache (:mod:`repro.serving.cache`) composes with
 ``StreamingPartitioner.ingest_batch``, and a closed-loop traffic driver
 (:mod:`repro.serving.traffic`) reports throughput and latency
 percentiles per system.
@@ -25,12 +28,13 @@ Quickstart (see ``examples/serving_demo.py`` for a narrated version)::
     print(driver.run(1000).as_dict())       # queries/s, p50/p95/p99, hops
 """
 
-from repro.serving.cache import ResultCache, affected_roots
+from repro.serving.cache import ResultCache
 from repro.serving.engine import (
     QueryServeReport,
     RootResult,
     ServeReport,
     ServingEngine,
+    ServingFrontEnd,
 )
 from repro.serving.router import (
     Router,
@@ -38,12 +42,7 @@ from repro.serving.router import (
     create_router,
     register_router,
 )
-from repro.serving.stores import (
-    PartitionStore,
-    RoutingIndex,
-    ServingStores,
-    ShardStores,
-)
+from repro.serving.stores import RoutingIndex, ShardStores
 from repro.serving.traffic import (
     LiveTrafficDriver,
     LiveTrafficReport,
@@ -55,7 +54,6 @@ from repro.serving.traffic import (
 __all__ = [
     "LiveTrafficDriver",
     "LiveTrafficReport",
-    "PartitionStore",
     "QueryServeReport",
     "ResultCache",
     "RootResult",
@@ -63,11 +61,10 @@ __all__ = [
     "RoutingIndex",
     "ServeReport",
     "ServingEngine",
-    "ServingStores",
+    "ServingFrontEnd",
     "ShardStores",
     "TrafficDriver",
     "TrafficReport",
-    "affected_roots",
     "available_routers",
     "create_router",
     "register_router",

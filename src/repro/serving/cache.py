@@ -11,41 +11,32 @@ The invalidation rule is *sound* and derives from the query shape:
     ``|Eq|`` data edges — so only roots within distance ``|Eq|`` of a new
     edge's endpoints (in the *updated* visible subgraph) can gain results.
 
-:func:`affected_roots` runs that bounded multi-source BFS; the engine
-invalidates every cached ``(q, r)`` whose root falls inside query ``q``'s
-radius.  Edges only ever arrive (the streaming model has no deletions), so
-cached results can become stale only by *missing* embeddings — staleness
-by deletion cannot happen, and entries outside the radius stay exact.
+:func:`invalidate_radius` applies that rule to one shard store: it runs
+the store's bounded multi-source BFS wave
+(:meth:`~repro.serving.stores.ShardStores.bfs_forward`) and invalidates
+every cached ``(q, r)`` whose root falls inside query ``q``'s radius.
+Every deployment invalidates through it — the in-process engine once per
+round over its single store, a live shard server once per wave, handing
+the ghosts the wave reached to their owning shard.  Edges only ever
+arrive (the streaming model has no deletions), so cached results can
+become stale only by *missing* embeddings — staleness by deletion cannot
+happen, and entries outside the radius stay exact.
 
 What the cache does **not** promise: entries are whole per-root results
 (hit or recompute — no partial reuse), and it knows nothing about plan
-changes — the engine drops a query's entries itself when graph growth
+changes — the owner drops a query's entries itself when graph growth
 shifts the query's compiled root slot.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
-from repro.serving.stores import ServingStores
+from repro.serving.stores import ShardStores
 
 CacheKey = Tuple[str, int]
 """``(query name, root vertex id)``."""
-
-
-def affected_roots(
-    stores: ServingStores,
-    endpoints: Iterable[int],
-    depth: int,
-) -> Dict[int, int]:
-    """Root id → distance for every stored vertex within ``depth`` hops of
-    any new-edge endpoint, over the current (post-update) visible subgraph.
-
-    Call *after* the stores absorbed the new edges: the connecting path may
-    itself use edges from the same batch.
-    """
-    return stores.bfs_within(endpoints, depth)
 
 
 class ResultCache:
@@ -134,24 +125,31 @@ class ResultCache:
         )
 
 
-def invalidation_sets(
-    stores: ServingStores,
-    new_edges: Iterable[Tuple[int, int]],
+def invalidate_radius(
+    cache: Optional[ResultCache],
+    stores: ShardStores,
+    seeds: Iterable[Tuple[int, int]],
     query_depths: Dict[str, int],
-) -> Dict[str, Set[int]]:
-    """Per-query root sets to invalidate for a batch of newly visible edges.
+    settled: Dict[int, int],
+) -> List[Tuple[int, int]]:
+    """Run one invalidation wave over ``stores`` and drop the cached roots
+    it reached, each query within its own radius.
 
-    One BFS to the *largest* query radius serves every query: each query
-    then takes the roots within its own depth.
+    ``seeds`` are ``(vid, dist)`` pairs (new-edge endpoints at 0);
+    ``settled`` is the round's accumulated distance map, threaded through
+    every wave of one ingest round.  One BFS to the *largest* radius serves
+    every query.  Call *after* the store applied the round's edges: the
+    connecting path may itself use edges from the same round.  Returns the
+    wave's forwards — ghosts reached at ``0 < dist <= radius`` whose owning
+    shard must continue the wave (never any for a store owning every
+    partition).
     """
-    endpoints: List[int] = []
-    for uid, vid in new_edges:
-        endpoints.append(uid)
-        endpoints.append(vid)
-    if not endpoints or not query_depths:
-        return {name: set() for name in query_depths}
-    reach = affected_roots(stores, endpoints, max(query_depths.values()))
-    return {
-        name: {vid for vid, dist in reach.items() if dist <= depth}
-        for name, depth in query_depths.items()
-    }
+    if cache is None or not query_depths:
+        return []
+    wave, forwards = stores.bfs_forward(seeds, max(query_depths.values()), settled)
+    if wave:
+        for name, depth in query_depths.items():
+            roots = sorted(vid for vid, dist in wave.items() if dist <= depth)
+            if roots:
+                cache.invalidate_roots(name, roots)
+    return forwards

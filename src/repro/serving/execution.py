@@ -1,32 +1,28 @@
-"""Shard-local pattern-match execution: one step engine, two deployments.
+"""Shard-local pattern-match execution: one step engine over one view.
 
-This module is the split the live-serving runtime demanded out of
-:mod:`repro.serving.engine`: the embedding DFS that used to live inside
-``ServingEngine._enumerate_root`` now runs as :func:`execute_step` against
-a *view* — an object describing how much of the graph the executing party
-can see.  Two views exist:
-
-* the single-process engine's global view (everything local, every edge
-  decidable), under which :func:`execute_step` reproduces the old
-  recursion bit for bit and never emits a continuation;
-* a shard server's partial view (:class:`repro.serving.stores.ShardStores`
-  wrapped in :class:`ShardView`): only the adjacency of its *own*
-  partitions' members is present, so the DFS runs as far as local
-  knowledge reaches and **hands off** the rest as
-  :class:`Continuation` records — the wire-level "hop" of the live
-  runtime, dispatched by the driver to the shard that owns the next
-  expansion vertex.
+The embedding DFS runs as :func:`execute_step` against a
+:class:`ShardView` — a shard store
+(:class:`repro.serving.stores.ShardStores`) seen from the executing
+party.  Only the adjacency of the store's *own* partitions' members is
+present, so the DFS runs as far as local knowledge reaches and **hands
+off** the rest as :class:`Continuation` records — the wire-level "hop" of
+the live runtime, dispatched by the driver to the shard that owns the
+next expansion vertex.  The in-process engine runs the same view over a
+single store that owns every partition: every edge is decidable there, so
+the step never emits a continuation and :func:`splice_segments` folds the
+literal output directly.
 
 The contract that makes the distributed execution bit-match the
-single-process engine (tested in ``tests/test_live_serving.py``):
-``execute_step`` visits candidates in exactly the old order (sorted
-adjacency of the first anchor), charges ``hops``/``border_expansions``
-with exactly the old arithmetic, and emits its output as an *ordered*
-list of segments — literal results interleaved with continuations at the
-precise DFS positions where the handed-off subtrees' results belong.
-Splicing resolved continuations back in order (:func:`splice_segments`)
-therefore reassembles the exact embedding tuple, hop total and
-border-expansion count a global enumeration would have produced.
+in-process engine for every shard count (tested in
+``tests/test_live_serving.py``): ``execute_step`` visits candidates in
+sorted adjacency order of the first anchor, charges
+``hops``/``border_expansions`` with the same arithmetic wherever it runs,
+and emits its output as an *ordered* list of segments — literal results
+interleaved with continuations at the precise DFS positions where the
+handed-off subtrees' results belong.  Splicing resolved continuations
+back in order (:func:`splice_segments`) therefore reassembles the exact
+embedding tuple, hop total and border-expansion count a one-shard
+enumeration produces.
 
 A continuation is emitted in exactly two situations:
 
@@ -43,9 +39,9 @@ A continuation is emitted in exactly two situations:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-#: Slot sentinel in a partial mapping (mirrors the engine's old ``-1``).
+#: Slot sentinel in a partial mapping.
 UNMAPPED = -1
 
 
@@ -196,24 +192,8 @@ def _rebuild_literal(embeddings, hops, border):
 Segment = "LiteralSegment | Continuation"
 
 
-class GlobalView:
-    """The single-process engine's view: everything local, everything known."""
-
-    __slots__ = ("neighbors", "label_of", "partition_of", "has_edge")
-
-    def __init__(self, stores, state) -> None:
-        self.neighbors = stores.neighbors
-        self.label_of: Dict[int, int] = stores._label_of
-        self.partition_of = state.assignment_vector.__getitem__
-        self.has_edge = stores.has_edge
-
-    @staticmethod
-    def owns(partition: int) -> bool:
-        return True
-
-
 class ShardView:
-    """A shard server's view over its :class:`~repro.serving.stores.ShardStores`.
+    """The executor's view over a :class:`~repro.serving.stores.ShardStores`.
 
     ``has_edge`` answers definitively whenever either endpoint is a local
     member (a member's adjacency is complete) and returns ``None`` — *not
@@ -224,17 +204,14 @@ class ShardView:
     edge that made them adjacent.
     """
 
-    __slots__ = ("_stores", "neighbors", "label_of", "partition_of", "owns")
+    __slots__ = ("neighbors", "label_of", "partition_of", "has_edge", "owns")
 
     def __init__(self, stores) -> None:
-        self._stores = stores
         self.neighbors = stores.neighbors
         self.label_of = stores.label_of
         self.partition_of = stores.partition_of
+        self.has_edge = stores.has_edge_local
         self.owns = stores.owns_partition
-
-    def has_edge(self, uid: int, vid: int) -> Optional[bool]:
-        return self._stores.has_edge_local(uid, vid)
 
 
 def execute_step(

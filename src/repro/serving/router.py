@@ -26,7 +26,7 @@ from __future__ import annotations
 import abc
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.serving.stores import ServingStores
+from repro.serving.stores import RoutingIndex
 
 BUILTIN_ROUTERS: Tuple[str, ...] = ("broadcast", "candidate-count", "label-selectivity")
 """The built-in policies, naive baseline first."""
@@ -38,7 +38,7 @@ class Router(abc.ABC):
     name: str = "abstract"
 
     @abc.abstractmethod
-    def route(self, stores: ServingStores, root_label_id: int) -> List[int]:
+    def route(self, index: RoutingIndex, root_label_id: int) -> List[int]:
         """The partitions to dispatch a root scan to, in contact order."""
 
 
@@ -47,8 +47,8 @@ class BroadcastRouter(Router):
 
     name = "broadcast"
 
-    def route(self, stores: ServingStores, root_label_id: int) -> List[int]:
-        return list(range(stores.k))
+    def route(self, index: RoutingIndex, root_label_id: int) -> List[int]:
+        return list(range(index.k))
 
 
 class CandidateCountRouter(Router):
@@ -61,8 +61,8 @@ class CandidateCountRouter(Router):
 
     name = "candidate-count"
 
-    def route(self, stores: ServingStores, root_label_id: int) -> List[int]:
-        counts = stores.candidate_counts(root_label_id)
+    def route(self, index: RoutingIndex, root_label_id: int) -> List[int]:
+        counts = index.candidate_counts(root_label_id)
         ranked = [(count, p) for p, count in enumerate(counts) if count > 0]
         ranked.sort(key=lambda item: (-item[0], item[1]))
         return [p for _count, p in ranked]
@@ -79,9 +79,9 @@ class LabelSelectivityRouter(Router):
 
     name = "label-selectivity"
 
-    def route(self, stores: ServingStores, root_label_id: int) -> List[int]:
+    def route(self, index: RoutingIndex, root_label_id: int) -> List[int]:
         ranked = []
-        for p, store in enumerate(stores.stores):
+        for p, store in enumerate(index.stores):
             count = store.candidate_count(root_label_id)
             if count > 0:
                 ranked.append((-count / max(1, store.num_members), p))

@@ -1,320 +1,46 @@
-"""Per-partition subgraph stores: the data layer of the serving engine.
+"""The serving data layer: the front end's admission index and the shard store.
 
-A :class:`ServingStores` is materialised from a
-:class:`~repro.graph.labelled_graph.LabelledGraph` plus a
-:class:`~repro.partitioning.state.PartitionState` assignment.  Each
-partition owns one :class:`PartitionStore` holding the adjacency of its
-member vertices on dense interner ids (sorted neighbour arrays, CSR in
-spirit: the flat sorted runs are what the engine's inner loop scans), a
-**border index** — for each member, the sorted sub-list of neighbours that
-live in a *different* partition — and a label index (label id → sorted
-member ids) that feeds root-candidate scans and the routers.
+Serving is split the way a routed cluster is: a front end that admits
+edges and routes requests, and a storage tier that holds adjacency and
+executes.  Both halves live here, keyed by the dense ids of
+``state.interner`` (vertex objects and label strings survive only at the
+boundary):
 
-The stores are **online**: :meth:`ServingStores.ingest_edge` admits a
-streamed edge the moment both endpoints have been *assigned* by the
-partitioner.  Edges whose endpoint is still unplaced (Loom holds vertices
-in its sliding window before clustering them) park in a pending buffer and
-surface via :meth:`flush_pending` once the assignment lands — so the
-visible subgraph only ever contains fully-placed edges, which is exactly
-the set the offline executor can score.
-
-Everything is keyed by the ids of ``state.interner``; vertex objects and
-label strings survive only at the boundary.
+* :class:`RoutingIndex` is the front end's adjacency-free index: vertex →
+  label id, per-partition label indexes (the routers' signal and the
+  root-candidate scans), the visible-edge key set and the pending buffer.
+  It **admits** a streamed edge the moment both endpoints have been
+  *assigned* by the partitioner; edges whose endpoint is still unplaced
+  (Loom holds vertices in its sliding window before clustering them) park
+  in the pending buffer and surface via :meth:`RoutingIndex.flush_pending`
+  once the assignment lands — so the visible subgraph only ever contains
+  fully-placed edges, exactly the set the offline executor can score.
+  Admission produces the vertex and edge *rows* the storage tier applies.
+* :class:`ShardStores` is one shard's slice of the storage tier: full
+  sorted adjacency of the members of the partitions it owns, plus ghost
+  metadata for their off-shard neighbours, built entirely from those
+  rows.  The live cluster runs N of them in server processes; the
+  in-process engine runs the same class as one shard owning every
+  partition.
 """
 
 from __future__ import annotations
 
-from bisect import insort
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from bisect import bisect_left, insort
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.interning import LabelInterner, pack_edge
-from repro.graph.labelled_graph import LabelledGraph, Vertex
+from repro.graph.labelled_graph import LabelledGraph
 from repro.graph.stream import EdgeEvent
 from repro.partitioning.state import UNASSIGNED, PartitionState
-
-
-class PartitionStore:
-    """One partition's vertex-local view: members, adjacency, border, labels."""
-
-    __slots__ = ("partition", "_adj", "_border", "_by_label")
-
-    def __init__(self, partition: int) -> None:
-        self.partition = partition
-        #: member id → sorted ids of *all* its neighbours (local and remote).
-        self._adj: Dict[int, List[int]] = {}
-        #: member id → sorted ids of its *remote* neighbours (the border index).
-        self._border: Dict[int, List[int]] = {}
-        #: label id → sorted member ids carrying that label.
-        self._by_label: Dict[int, List[int]] = {}
-
-    # -- construction ------------------------------------------------------
-    def add_member(self, vid: int, label_id: int, sort: bool = True) -> None:
-        if vid in self._adj:
-            return
-        self._adj[vid] = []
-        if sort:
-            insort(self._by_label.setdefault(label_id, []), vid)
-        else:
-            self._by_label.setdefault(label_id, []).append(vid)
-
-    def add_neighbor(self, vid: int, other: int, remote: bool, sort: bool = True) -> None:
-        if sort:
-            insort(self._adj[vid], other)
-        else:
-            self._adj[vid].append(other)
-        if remote:
-            if sort:
-                insort(self._border.setdefault(vid, []), other)
-            else:
-                self._border.setdefault(vid, []).append(other)
-
-    def sort_indexes(self) -> None:
-        """Sort every index in place — the bulk-build counterpart of the
-        incremental ``insort`` path (append unsorted, sort each list once)."""
-        for index in (self._adj, self._border, self._by_label):
-            for values in index.values():
-                values.sort()
-
-    # -- queries -----------------------------------------------------------
-    def neighbors(self, vid: int) -> List[int]:
-        """All neighbours of member ``vid``, sorted.  Do not mutate."""
-        return self._adj[vid]
-
-    def border_neighbors(self, vid: int) -> List[int]:
-        """The remote neighbours of member ``vid``, sorted.  Do not mutate."""
-        return self._border.get(vid, [])
-
-    def candidates(self, label_id: int) -> List[int]:
-        """Sorted member ids labelled ``label_id``.  Do not mutate."""
-        return self._by_label.get(label_id, [])
-
-    def candidate_count(self, label_id: int) -> int:
-        return len(self._by_label.get(label_id, ()))
-
-    @property
-    def num_members(self) -> int:
-        return len(self._adj)
-
-    @property
-    def num_border_vertices(self) -> int:
-        """Members with at least one cut edge (the partition's frontier)."""
-        return len(self._border)
-
-    def __contains__(self, vid: int) -> bool:
-        return vid in self._adj
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<PartitionStore p={self.partition} members={self.num_members} "
-            f"frontier={self.num_border_vertices}>"
-        )
-
-
-class ServingStores:
-    """The k per-partition stores over one shared assignment and id space."""
-
-    __slots__ = (
-        "state",
-        "labels",
-        "stores",
-        "_label_of",
-        "_edges",
-        "_pending",
-        "_sorted",
-        "num_edges",
-        "num_border_edges",
-    )
-
-    def __init__(self, state: PartitionState, labels: Optional[LabelInterner] = None) -> None:
-        self.state = state
-        #: Label ↔ id bijection shared with the engine's compiled plans.
-        self.labels = labels if labels is not None else LabelInterner()
-        #: True once construction is incremental: inserts keep lists sorted.
-        #: ``from_state`` clears it during its bulk build (append, sort once).
-        self._sorted = True
-        self.stores: List[PartitionStore] = [PartitionStore(p) for p in range(state.k)]
-        #: vertex id → label id, for every stored vertex.
-        self._label_of: Dict[int, int] = {}
-        #: packed edge keys of every *visible* edge (both endpoints placed).
-        self._edges: Set[int] = set()
-        #: events whose endpoint was unassigned on arrival, in arrival order.
-        self._pending: List[EdgeEvent] = []
-        self.num_edges = 0
-        self.num_border_edges = 0
-
-    @classmethod
-    def from_state(cls, graph: LabelledGraph, state: PartitionState) -> "ServingStores":
-        """Materialise stores for every placed vertex/edge of ``graph``.
-
-        Edges with an unplaced endpoint go to the pending buffer (none, in
-        the common fully-partitioned case).
-        """
-        stores = cls(state)
-        # Bulk build: append into the index lists and sort each once at the
-        # end, instead of paying insort's O(degree) shift per edge.
-        stores._sorted = False
-        try:
-            for v in graph.vertices():
-                vid = state.interner.id_of(v)
-                if vid is not None and state.partition_of_id(vid) != UNASSIGNED:
-                    stores._add_member(vid, graph.label(v))
-            for u, v in graph.edges():
-                stores.ingest_edge(EdgeEvent(u, graph.label(u), v, graph.label(v)))
-        finally:
-            stores._sorted = True
-            for store in stores.stores:
-                store.sort_indexes()
-        return stores
-
-    # ------------------------------------------------------------------
-    # Construction / streaming
-    # ------------------------------------------------------------------
-    def _add_member(self, vid: int, label: str) -> None:
-        if vid in self._label_of:
-            return
-        lid = self.labels.intern(label)
-        self._label_of[vid] = lid
-        self.stores[self.state.partition_of_id(vid)].add_member(vid, lid, sort=self._sorted)
-
-    def ingest_edge(self, event: EdgeEvent) -> Optional[Tuple[int, int]]:
-        """Admit one streamed edge if both endpoints are placed.
-
-        Returns the visible ``(uid, vid)`` id pair when the edge entered the
-        stores, ``None`` when it parked in the pending buffer (unknown or
-        unassigned endpoint).  Duplicate edges are no-ops returning ``None``.
-        """
-        id_of = self.state.interner.id_of
-        uid, vid = id_of(event.u), id_of(event.v)
-        if (
-            uid is None
-            or vid is None
-            or self.state.partition_of_id(uid) == UNASSIGNED
-            or self.state.partition_of_id(vid) == UNASSIGNED
-        ):
-            self._pending.append(event)
-            return None
-        ekey = pack_edge(uid, vid)
-        if ekey in self._edges:
-            return None
-        self._add_member(uid, event.u_label)
-        self._add_member(vid, event.v_label)
-        self._edges.add(ekey)
-        self.num_edges += 1
-        pu = self.state.partition_of_id(uid)
-        pv = self.state.partition_of_id(vid)
-        remote = pu != pv
-        self.stores[pu].add_neighbor(uid, vid, remote, sort=self._sorted)
-        self.stores[pv].add_neighbor(vid, uid, remote, sort=self._sorted)
-        if remote:
-            self.num_border_edges += 1
-        return (uid, vid)
-
-    def flush_pending(self) -> List[Tuple[int, int]]:
-        """Retry every parked edge; returns the id pairs that became visible.
-
-        Call after each ingest round (and after ``finalize``): a Loom
-        cluster assignment can retroactively place the endpoints of edges
-        that streamed earlier.
-        """
-        parked, self._pending = self._pending, []
-        visible: List[Tuple[int, int]] = []
-        for event in parked:
-            pair = self.ingest_edge(event)
-            if pair is not None:
-                visible.append(pair)
-        return visible
-
-    @property
-    def num_pending(self) -> int:
-        return len(self._pending)
-
-    # ------------------------------------------------------------------
-    # Queries (the engine's inner-loop surface)
-    # ------------------------------------------------------------------
-    def owner(self, vid: int) -> int:
-        """The partition storing ``vid``; raises ``KeyError`` if unstored."""
-        p = self.state.partition_of_id(vid)
-        if p == UNASSIGNED or vid not in self._label_of:
-            raise KeyError(f"vertex id {vid} is not stored in any partition")
-        return p
-
-    def label_id_of(self, vid: int) -> int:
-        return self._label_of[vid]
-
-    def has_edge(self, uid: int, vid: int) -> bool:
-        return pack_edge(uid, vid) in self._edges
-
-    def neighbors(self, vid: int) -> List[int]:
-        """All visible neighbours of ``vid`` (via its owner store), sorted."""
-        return self.stores[self.owner(vid)].neighbors(vid)
-
-    def candidates(self, partition: int, label_id: int) -> List[int]:
-        return self.stores[partition].candidates(label_id)
-
-    def candidate_counts(self, label_id: int) -> List[int]:
-        """Per-partition root-candidate counts (the routers' main signal)."""
-        return [store.candidate_count(label_id) for store in self.stores]
-
-    def all_candidates(self, label_id: int) -> List[int]:
-        """Every stored id carrying ``label_id``, across partitions, sorted."""
-        out: List[int] = []
-        for store in self.stores:
-            out.extend(store.candidates(label_id))
-        out.sort()
-        return out
-
-    def bfs_within(self, sources: Iterable[int], depth: int) -> Dict[int, int]:
-        """Id → distance for every stored id within ``depth`` hops of
-        ``sources`` over the visible subgraph (distance 0 at the sources).
-
-        This powers cache invalidation: any embedding using a new edge is
-        rooted within pattern-diameter distance of one of its endpoints.
-        """
-        dist: Dict[int, int] = {}
-        frontier: List[int] = []
-        for s in sources:
-            if s in self._label_of and s not in dist:
-                dist[s] = 0
-                frontier.append(s)
-        d = 0
-        while frontier and d < depth:
-            d += 1
-            nxt: List[int] = []
-            for vid in frontier:
-                for w in self.neighbors(vid):  # detlint: disable=DET-setiter (neighbors is a sorted list)
-                    if w not in dist:
-                        dist[w] = d
-                        nxt.append(w)
-            frontier = nxt
-        return dist
-
-    @property
-    def k(self) -> int:
-        return self.state.k
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self._label_of)
-
-    def vertex(self, vid: int) -> Vertex:
-        return self.state.interner.vertex(vid)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<ServingStores k={self.k} |V|={self.num_vertices} "
-            f"|E|={self.num_edges} border={self.num_border_edges} "
-            f"pending={self.num_pending}>"
-        )
 
 
 class _PartitionIndex:
     """One partition's *membership* view: labels and counts, no adjacency.
 
-    The driver-side routing twin of :class:`PartitionStore` — enough
-    surface (``candidate_count`` / ``candidates`` / ``num_members``) for
-    every :mod:`repro.serving.router` policy and for root-candidate scans,
-    at a fraction of the memory: adjacency lives only on the shard that
-    owns the partition.
+    Enough surface (``candidate_count`` / ``candidates`` / ``num_members``)
+    for every :mod:`repro.serving.router` policy and for root-candidate
+    scans; adjacency lives only in the shard store owning the partition.
     """
 
     __slots__ = ("partition", "_by_label", "num_members")
@@ -346,20 +72,18 @@ class _PartitionIndex:
 
 
 class RoutingIndex:
-    """The live driver's adjacency-free twin of :class:`ServingStores`.
+    """The serving front end's admission and routing index.
 
     Holds exactly what routing and request admission need — vertex → label
-    id, per-partition label indexes, the visible-edge key set (dedup) and
-    the pending buffer — while the adjacency itself lives sharded across
-    the servers.  Duck-types the :class:`ServingStores` surface the routers
-    and the traffic driver touch (``k``, ``stores``, ``candidate_counts``,
-    ``candidates``, ``all_candidates``), so every routing policy works
-    unchanged against either.
+    id, per-partition label indexes (``stores``), the visible-edge key set
+    (dedup) and the pending buffer — while the adjacency itself lives in
+    the :class:`ShardStores`.  Routers read ``k``, ``stores`` and
+    ``candidate_counts``; the traffic drivers read ``all_candidates``.
 
-    ``ingest_edge``/``flush_pending`` follow the same admission rule as
-    :class:`ServingStores` (both endpoints placed, duplicates dropped), so
-    a live cluster and a single-process engine fed the same stream admit
-    the identical edge sequence — the bedrock of the equivalence suites.
+    Admission rule: an edge becomes visible once both endpoints are placed;
+    duplicates are dropped.  Every serving deployment admits through this
+    one class, so the engine and a live cluster fed the same stream admit
+    the identical edge sequence.
     """
 
     __slots__ = (
@@ -370,6 +94,7 @@ class RoutingIndex:
         "_edges",
         "_pending",
         "_new_vertices",
+        "_new_edges",
         "_sorted",
         "num_edges",
         "num_border_edges",
@@ -383,9 +108,11 @@ class RoutingIndex:
         self._label_of: Dict[int, int] = {}
         self._edges: Set[int] = set()
         self._pending: List[EdgeEvent] = []
-        #: (vid, label_id, partition) rows stored since the last take — the
-        #: driver turns these into EdgeUpdate vertex rows each round.
+        #: The delta admitted since the last :meth:`take_delta`, in admission
+        #: order: ``(vid, label_id, partition)`` vertex rows and visible
+        #: ``(uid, vid)`` edge pairs — one round for the shard stores.
         self._new_vertices: List[Tuple[int, int, int]] = []
+        self._new_edges: List[Tuple[int, int]] = []
         self.num_edges = 0
         self.num_border_edges = 0
 
@@ -417,7 +144,12 @@ class RoutingIndex:
         self._new_vertices.append((vid, lid, partition))
 
     def ingest_edge(self, event: EdgeEvent) -> Optional[Tuple[int, int]]:
-        """Same admission protocol as :meth:`ServingStores.ingest_edge`."""
+        """Admit one streamed edge if both endpoints are placed.
+
+        Returns the visible ``(uid, vid)`` id pair when the edge entered the
+        index, ``None`` when it parked in the pending buffer (unknown or
+        unassigned endpoint).  Duplicate edges are no-ops returning ``None``.
+        """
         id_of = self.state.interner.id_of
         uid, vid = id_of(event.u), id_of(event.v)
         if (
@@ -437,29 +169,44 @@ class RoutingIndex:
         self.num_edges += 1
         if self.state.partition_of_id(uid) != self.state.partition_of_id(vid):
             self.num_border_edges += 1
-        return (uid, vid)
+        pair = (uid, vid)
+        self._new_edges.append(pair)
+        return pair
 
-    def flush_pending(self) -> List[Tuple[int, int]]:
+    def flush_pending(self) -> None:
+        """Retry every parked edge.
+
+        Call after each ingest round (and after ``finalize``): a Loom
+        cluster assignment can retroactively place the endpoints of edges
+        that streamed earlier.
+        """
         parked, self._pending = self._pending, []
-        visible: List[Tuple[int, int]] = []
         for event in parked:
-            pair = self.ingest_edge(event)
-            if pair is not None:
-                visible.append(pair)
-        return visible
+            self.ingest_edge(event)
 
-    def take_new_vertices(self) -> List[Tuple[int, int, int]]:
-        """Drain the ``(vid, label_id, partition)`` rows stored since the
-        last call — one EdgeUpdate round's worth of vertex announcements."""
-        rows, self._new_vertices = self._new_vertices, []
-        return rows
+    def take_delta(self) -> Tuple[List[Tuple[int, int, int]], List[Tuple[int, int]]]:
+        """Drain the vertex rows and edge pairs admitted since the last call
+        (everything placed, right after :meth:`from_state`)."""
+        delta = (self._new_vertices, self._new_edges)
+        self._new_vertices, self._new_edges = [], []
+        return delta
+
+    def edge_rows(
+        self, pairs: Iterable[Tuple[int, int]]
+    ) -> Iterator[Tuple[int, int, int, int, int, int]]:
+        """The ``(uid, u_label, u_part, vid, v_label, v_part)`` rows a shard
+        store applies for visible edges ``pairs``."""
+        label_of = self._label_of
+        part_of = self.state.partition_of_id
+        for u, v in pairs:
+            yield (u, label_of[u], part_of(u), v, label_of[v], part_of(v))
 
     # -- the routing / admission surface -------------------------------
     def label_id_of(self, vid: int) -> int:
         return self._label_of[vid]
 
-    def partition_of(self, vid: int) -> int:
-        return self.state.partition_of_id(vid)
+    def __contains__(self, vid: int) -> bool:
+        return vid in self._label_of
 
     def candidates(self, partition: int, label_id: int) -> List[int]:
         return self.stores[partition].candidates(label_id)
@@ -494,14 +241,15 @@ class RoutingIndex:
 
 
 class ShardStores:
-    """One shard server's slice of the serving data: the partitions whose
-    index ``p % num_shards == shard_id``, with full member adjacency plus
-    **ghost metadata** (label and partition) for every remote vertex seen
-    on a border edge.
+    """One shard's slice of the serving data: the partitions whose index
+    ``p % num_shards == shard_id``, with full member adjacency plus **ghost
+    metadata** (label and partition) for every remote vertex seen on a
+    border edge.  A live shard server holds one; the in-process engine
+    holds ``ShardStores(0, 1, k)``, which owns every partition.
 
-    Built entirely from EdgeUpdate wire rows — the shard never touches the
-    interner or the graph.  The invariants the distributed executor leans
-    on:
+    Built entirely from the front end's vertex and edge rows — the store
+    never touches the interner or the graph.  The invariants the executor
+    leans on:
 
     * a *member*'s adjacency is complete w.r.t. the visible subgraph (the
       driver sends every visible edge incident to an owned partition), so
@@ -511,7 +259,7 @@ class ShardStores:
       and partition recorded — ghost metadata arrived on the edge row that
       made it adjacent;
     * adjacency lists are insort-maintained, so candidate iteration order
-      matches the single-process :class:`ServingStores` bit for bit.
+      is independent of how rows were split into rounds and across shards.
     """
 
     __slots__ = (
@@ -521,7 +269,7 @@ class ShardStores:
         "_adj",
         "_label_of",
         "_partition_of",
-        "_edges",
+        "partition_of",
         "num_edges",
         "num_border_edges",
         "num_ghosts",
@@ -537,17 +285,15 @@ class ShardStores:
         self._label_of: Dict[int, int] = {}
         #: vid → partition, members *and* ghosts.
         self._partition_of: Dict[int, int] = {}
-        #: packed keys of every edge with at least one member endpoint.
-        self._edges: Set[int] = set()
+        #: ``partition_of(vid)``: a bound dict lookup, not a method — the
+        #: executor calls it once per candidate.
+        self.partition_of = self._partition_of.__getitem__
         self.num_edges = 0
         self.num_border_edges = 0
         self.num_ghosts = 0
 
     def owns_partition(self, partition: int) -> bool:
         return partition % self.num_shards == self.shard_id
-
-    def is_member(self, vid: int) -> bool:
-        return vid in self._adj
 
     def _register(self, vid: int, label_id: int, partition: int) -> None:
         """Record a vertex's metadata; promote ghost → member if owned."""
@@ -563,10 +309,6 @@ class ShardStores:
             self._adj[vid] = []
             self.num_ghosts -= 1
 
-    def add_vertex(self, vid: int, label_id: int, partition: int) -> None:
-        """Apply one EdgeUpdate vertex row (always an owned vertex)."""
-        self._register(vid, label_id, partition)
-
     def apply_edge(
         self,
         uid: int,
@@ -575,26 +317,46 @@ class ShardStores:
         vid: int,
         v_label: int,
         v_part: int,
-    ) -> Optional[Tuple[int, int]]:
+    ) -> bool:
         """Apply one EdgeUpdate edge row; at least one endpoint is owned.
-
-        Returns the ``(uid, vid)`` pair when the edge was new (the cache
-        invalidation seeds for this round), ``None`` on duplicates.
-        """
-        ekey = pack_edge(uid, vid)
-        if ekey in self._edges:
-            return None
+        Returns whether the edge was new (``False`` on duplicates)."""
         self._register(uid, u_label, u_part)
         self._register(vid, v_label, v_part)
-        self._edges.add(ekey)
+        u_adj = self._adj.get(uid)
+        v_adj = self._adj.get(vid)
+        # A member's sorted adjacency is complete: it decides duplicates.
+        if u_adj is not None:
+            at = bisect_left(u_adj, vid)
+            if at < len(u_adj) and u_adj[at] == vid:
+                return False
+            u_adj.insert(at, vid)
+            if v_adj is not None:
+                insort(v_adj, uid)
+        else:
+            at = bisect_left(v_adj, uid)
+            if at < len(v_adj) and v_adj[at] == uid:
+                return False
+            v_adj.insert(at, uid)
         self.num_edges += 1
-        if uid in self._adj:
-            insort(self._adj[uid], vid)
-        if vid in self._adj:
-            insort(self._adj[vid], uid)
         if u_part != v_part:
             self.num_border_edges += 1
-        return (uid, vid)
+        return True
+
+    def apply_rows(
+        self,
+        vertices: Iterable[Tuple[int, int, int]],
+        edges: Iterable[Sequence[int]],
+    ) -> List[int]:
+        """Apply one round of vertex and edge rows; returns the endpoints of
+        the new edges, two per edge (the round's cache-invalidation seeds)."""
+        for vid, label_id, partition in vertices:
+            self._register(vid, label_id, partition)
+        endpoints: List[int] = []
+        for row in edges:
+            if self.apply_edge(*row):
+                endpoints.append(row[0])
+                endpoints.append(row[3])
+        return endpoints
 
     # -- the executor's view surface ------------------------------------
     def neighbors(self, vid: int) -> List[int]:
@@ -605,15 +367,17 @@ class ShardStores:
     def label_of(self) -> Dict[int, int]:
         return self._label_of
 
-    def partition_of(self, vid: int) -> int:
-        return self._partition_of[vid]
-
     def has_edge_local(self, uid: int, vid: int) -> Optional[bool]:
         """Definitive membership test when either endpoint is a member;
         ``None`` when both are remote (only their owners can decide)."""
-        if uid in self._adj or vid in self._adj:
-            return pack_edge(uid, vid) in self._edges
-        return None
+        adj = self._adj.get(uid)
+        if adj is None:
+            adj = self._adj.get(vid)
+            if adj is None:
+                return None
+            vid = uid
+        at = bisect_left(adj, vid)
+        return at < len(adj) and adj[at] == vid
 
     def bfs_forward(
         self,
@@ -665,9 +429,6 @@ class ShardStores:
     @property
     def num_members(self) -> int:
         return len(self._adj)
-
-    def owned_partitions(self) -> List[int]:
-        return [p for p in range(self.k) if self.owns_partition(p)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

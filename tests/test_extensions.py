@@ -236,7 +236,15 @@ class TestPartitionCli:
 
     @pytest.mark.parametrize(
         "flag, value, floor",
-        [("--k", "0", "1"), ("--window", "0", "1"), ("--imbalance", "0.1", "1.0")],
+        [
+            ("--k", "0", "1"),
+            ("--window", "0", "1"),
+            ("--imbalance", "0.1", "1.0"),
+            ("--serve", "-5", "0"),
+            ("--serve-shards", "-2", "0"),
+            ("--zipf", "-1", "0"),
+            ("--hop-cost-us", "-1", "0"),
+        ],
     )
     def test_bad_numbers_fail_with_one_line_error(self, files, capsys, flag, value, floor):
         from repro.partition_cli import main
@@ -247,4 +255,24 @@ class TestPartitionCli:
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert errors == [f"error: {flag} must be at least {floor}"]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("v 1 a\ne 1 2\n", "graph.txt:2: vertex 2 has no label"),
+            ("v 1 a\ne 1 1\n", "graph.txt:2: self-loop on vertex 1"),
+            ("", "graph.txt has no vertices"),
+        ],
+        ids=["unlabelled-endpoint", "self-loop", "empty"],
+    )
+    def test_bad_graph_fails_with_one_line_error(self, tmp_path, capsys, text, message):
+        from repro.partition_cli import main
+
+        graph_path = tmp_path / "graph.txt"
+        graph_path.write_text(text)
+        assert main([str(graph_path), "--system", "ldg", "--k", "2"]) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and message in errors[0], err
         assert "Traceback" not in err

@@ -47,7 +47,6 @@ from repro.runtime.messages import (
 )
 from repro.serving import ServingEngine
 from repro.serving.router import BUILTIN_ROUTERS
-from repro.serving.stores import RoutingIndex, ServingStores
 from repro.serving.traffic import LiveTrafficDriver, TrafficDriver
 
 
@@ -401,21 +400,3 @@ def test_detlint_mp_pickle_scope_covers_live_modules():
         "src/repro/runtime/driver.py",
     ):
         assert rule_applies("MP-pickle", path), path
-
-
-# ----------------------------------------------------------------------
-# RoutingIndex: the driver's adjacency-free twin of ServingStores
-# ----------------------------------------------------------------------
-def test_routing_index_agrees_with_serving_stores():
-    graph, workload = _random_case()
-    state = _partition("fennel", graph, workload, k=4)
-    stores = ServingStores.from_state(graph, state)
-    index = RoutingIndex.from_state(graph, state)
-    assert index.num_vertices == stores.num_vertices
-    assert index.num_edges == stores.num_edges
-    assert index.num_border_edges == stores.num_border_edges
-    for label_id in range(len(graph.label_set())):
-        assert index.all_candidates(label_id) == stores.all_candidates(label_id)
-        assert index.candidate_counts(label_id) == stores.candidate_counts(label_id)
-        for p in range(state.k):
-            assert index.candidates(p, label_id) == stores.candidates(p, label_id)

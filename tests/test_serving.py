@@ -8,8 +8,9 @@ from repro.partitioning import registry
 from repro.partitioning.state import PartitionState
 from repro.serving import (
     ResultCache,
+    RoutingIndex,
     ServingEngine,
-    ServingStores,
+    ShardStores,
     TrafficDriver,
     available_routers,
     create_router,
@@ -31,60 +32,75 @@ def _partitioned_figure1(system="ldg", k=2, seed=0):
 
 
 class TestServingStores:
+    """The engine's data layer: the front end's admission index plus its
+    one shard store owning every partition."""
+
     def test_materialises_every_vertex_and_edge(self):
-        graph, _workload, state = _partitioned_figure1()
-        stores = ServingStores.from_state(graph, state)
-        assert stores.num_vertices == graph.num_vertices
+        graph, workload, state = _partitioned_figure1()
+        engine = ServingEngine(graph, state, workload)
+        index, stores = engine.index, engine.stores
+        assert index.num_vertices == graph.num_vertices
+        assert index.num_edges == graph.num_edges
+        assert index.num_pending == 0
+        assert sum(s.num_members for s in index.stores) == graph.num_vertices
+        assert stores.num_members == graph.num_vertices
+        assert stores.num_ghosts == 0
         assert stores.num_edges == graph.num_edges
-        assert stores.num_pending == 0
-        assert sum(s.num_members for s in stores.stores) == graph.num_vertices
+        for u, v in graph.edges():
+            uid, vid = state.interner.id_of(u), state.interner.id_of(v)
+            assert vid in stores.neighbors(uid) and uid in stores.neighbors(vid)
 
     def test_border_index_matches_cut_edges(self):
-        graph, _workload, state = _partitioned_figure1()
-        stores = ServingStores.from_state(graph, state)
+        graph, workload, state = _partitioned_figure1()
+        engine = ServingEngine(graph, state, workload)
         cut = sum(
             1
             for u, v in graph.edges()
             if state.partition_of(u) != state.partition_of(v)
         )
-        assert stores.num_border_edges == cut
-        # Each cut edge appears in both endpoints' border lists.
-        listed = sum(
-            len(store.border_neighbors(vid))
-            for store in stores.stores
-            for vid in list(store._adj)
-        )
-        assert listed == 2 * cut
+        assert engine.index.num_border_edges == cut
+        assert engine.stores.num_border_edges == cut
 
     def test_label_index_feeds_candidates(self):
-        graph, _workload, state = _partitioned_figure1()
-        stores = ServingStores.from_state(graph, state)
-        lid = stores.labels.id_of("a")
+        graph, workload, state = _partitioned_figure1()
+        index = ServingEngine(graph, state, workload).index
+        lid = index.labels.id_of("a")
         expected = sorted(
             state.interner.id_of(v) for v in graph.vertices_with_label("a")
         )
-        assert stores.all_candidates(lid) == expected
-        assert sum(stores.candidate_counts(lid)) == len(expected)
+        assert index.all_candidates(lid) == expected
+        assert sum(index.candidate_counts(lid)) == len(expected)
 
     def test_unassigned_endpoint_parks_pending(self):
         state = PartitionState(2, capacity=4)
-        stores = ServingStores(state)
+        index = RoutingIndex(state)
         state.assign("x", 0)
-        assert stores.ingest_edge(EdgeEvent("x", "a", "y", "b")) is None
-        assert stores.num_pending == 1
+        assert index.ingest_edge(EdgeEvent("x", "a", "y", "b")) is None
+        assert index.num_pending == 1
         state.assign("y", 1)
-        visible = stores.flush_pending()
-        assert len(visible) == 1
-        assert stores.num_pending == 0
+        index.flush_pending()
+        vertex_rows, visible = index.take_delta()
+        assert len(vertex_rows) == 2 and len(visible) == 1
+        assert index.num_pending == 0
+        assert index.num_border_edges == 1
+        stores = ShardStores(0, 1, state.k)
+        assert stores.apply_rows(vertex_rows, index.edge_rows(visible)) == list(visible[0])
         assert stores.num_border_edges == 1
 
     def test_duplicate_edges_are_noops(self):
         state = PartitionState(2, capacity=4)
         state.assign("x", 0)
         state.assign("y", 0)
-        stores = ServingStores(state)
-        assert stores.ingest_edge(EdgeEvent("x", "a", "y", "b")) is not None
-        assert stores.ingest_edge(EdgeEvent("y", "b", "x", "a")) is None
+        index = RoutingIndex(state)
+        pair = index.ingest_edge(EdgeEvent("x", "a", "y", "b"))
+        assert pair is not None
+        assert index.ingest_edge(EdgeEvent("y", "b", "x", "a")) is None
+        assert index.num_edges == 1
+        vertex_rows, visible = index.take_delta()
+        assert visible == [pair]
+        stores = ShardStores(0, 1, state.k)
+        rows = index.edge_rows([pair, pair[::-1]])
+        assert stores.apply_rows(vertex_rows, rows) == list(pair)
         assert stores.num_edges == 1
 
 
@@ -134,8 +150,8 @@ class TestRouters:
         graph, workload, state = _partitioned_figure1(k=4)
         engine = ServingEngine(graph, state, workload, router="candidate-count")
         lid = engine.root_label_id("q2")
-        counts = engine.stores.candidate_counts(lid)
-        routed = engine.router.route(engine.stores, lid)
+        counts = engine.index.candidate_counts(lid)
+        routed = engine.router.route(engine.index, lid)
         assert routed == sorted(
             (p for p, c in enumerate(counts) if c > 0),
             key=lambda p: (-counts[p], p),
@@ -146,10 +162,10 @@ class TestRouters:
         graph, workload, state = _partitioned_figure1(k=2)
         engine = ServingEngine(graph, state, workload, router="label-selectivity")
         lid = engine.root_label_id("q2")
-        routed = engine.router.route(engine.stores, lid)
+        routed = engine.router.route(engine.index, lid)
         densities = [
             store.candidate_count(lid) / max(1, store.num_members)
-            for store in engine.stores.stores
+            for store in engine.index.stores
         ]
         assert routed == sorted(
             (p for p in range(state.k) if densities[p] > 0),
@@ -203,7 +219,7 @@ class TestServingEngine:
         graph, workload, state = _partitioned_figure1()
         engine = ServingEngine(graph, state, workload)
         lid = engine.root_label_id("q1")
-        for root in engine.stores.all_candidates(lid):
+        for root in engine.index.all_candidates(lid):
             for embedding in engine.serve_root("q1", root).embeddings:
                 assert len(set(embedding)) == len(embedding)
                 assert embedding[0] == root
@@ -265,7 +281,7 @@ class TestTrafficDriver:
         graph, workload, state = _partitioned_figure1()
         engine = ServingEngine(graph, state, workload)
         for name, root in TrafficDriver(engine, seed=0).sample(100):
-            assert engine.stores.label_id_of(root) == engine.root_label_id(name)
+            assert engine.index.label_id_of(root) == engine.root_label_id(name)
 
     def test_cache_hits_charge_no_hops(self):
         graph, workload, state = _partitioned_figure1()

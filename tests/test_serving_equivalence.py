@@ -135,8 +135,8 @@ def test_streamed_engine_matches_static_build():
         for chunk in batched(events, 37):
             engine.ingest(chunk)
         engine.finalize()
-        assert engine.stores.num_pending == 0
-        assert engine.stores.num_edges == graph.num_edges
+        assert engine.index.num_pending == 0
+        assert engine.index.num_edges == graph.num_edges
 
         static = ServingEngine(graph, state, workload)
         served = engine.execute_workload(system)
